@@ -27,18 +27,11 @@
 use crate::faultpoint;
 use crate::json::{self, ObjBuilder, Value};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Hit/miss/corruption counters (engine-lifetime totals).
-#[derive(Debug, Default)]
-pub struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
-    corrupt: AtomicU64,
-}
-
-/// A point-in-time snapshot of the cache's lifetime counters.
+/// Cache activity counts. The store keeps no totals of its own: every
+/// [`StageCache::get`] and [`StageCache::put`] counts into its caller's
+/// tally, so activity is attributed to the job (and batch) that caused
+/// it however many share the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Entries served from disk.
@@ -52,17 +45,21 @@ pub struct CacheStats {
     pub corrupt: u64,
 }
 
-impl CacheStats {
-    /// The activity between an earlier snapshot and this one — what one
-    /// batch contributed on a long-lived engine.
-    #[must_use]
-    pub fn since(&self, earlier: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            writes: self.writes.saturating_sub(earlier.writes),
-            corrupt: self.corrupt.saturating_sub(earlier.corrupt),
-        }
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, other: CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.writes += other.writes;
+        self.corrupt += other.corrupt;
+    }
+}
+
+impl std::iter::Sum for CacheStats {
+    fn sum<I: Iterator<Item = CacheStats>>(iter: I) -> Self {
+        iter.fold(CacheStats::default(), |mut total, s| {
+            total += s;
+            total
+        })
     }
 }
 
@@ -70,7 +67,6 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct StageCache {
     root: PathBuf,
-    counters: CacheCounters,
 }
 
 impl StageCache {
@@ -82,10 +78,7 @@ impl StageCache {
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(Self {
-            root,
-            counters: CacheCounters::default(),
-        })
+        Ok(Self { root })
     }
 
     /// The cache root.
@@ -115,26 +108,26 @@ impl StageCache {
     /// Looks up `key` in `stage`, returning the stored payload.
     ///
     /// Counts a hit, a miss, or (for undecodable/mismatched/torn
-    /// entries) a corruption — corrupted entries are quarantined so the
-    /// follow-up [`StageCache::put`] recreates them and garbage never
-    /// propagates into a result.
+    /// entries) a corruption into `tally` — corrupted entries are
+    /// quarantined so the follow-up [`StageCache::put`] recreates them
+    /// and garbage never propagates into a result.
     #[must_use]
-    pub fn get(&self, stage: &str, key: &str) -> Option<Value> {
+    pub fn get(&self, stage: &str, key: &str, tally: &mut CacheStats) -> Option<Value> {
         let path = self.entry_path(stage, key);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                tally.misses += 1;
                 return None;
             }
             Err(_) => {
-                self.quarantine(&path);
+                self.quarantine(&path, tally);
                 return None;
             }
         };
         // Injected read fault: the bytes came back unusable.
         if faultpoint::fire(faultpoint::CACHE_READ_IO) {
-            self.quarantine(&path);
+            self.quarantine(&path, tally);
             return None;
         }
         match json::parse(&text) {
@@ -144,18 +137,18 @@ impl StageCache {
             {
                 match entry.get("payload") {
                     Some(payload) if checksum_matches(&entry, payload) => {
-                        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                        tally.hits += 1;
                         touch(&path);
                         Some(payload.clone())
                     }
                     _ => {
-                        self.quarantine(&path);
+                        self.quarantine(&path, tally);
                         None
                     }
                 }
             }
             _ => {
-                self.quarantine(&path);
+                self.quarantine(&path, tally);
                 None
             }
         }
@@ -164,8 +157,8 @@ impl StageCache {
     /// Stores `payload` under (`stage`, `key`). Failures are swallowed —
     /// a read-only or full cache disk degrades to recomputation. The
     /// entry carries a SHA-256 of the serialized payload, verified on
-    /// every read.
-    pub fn put(&self, stage: &str, key: &str, payload: &Value) {
+    /// every read. A completed write counts into `tally`.
+    pub fn put(&self, stage: &str, key: &str, payload: &Value, tally: &mut CacheStats) {
         let path = self.entry_path(stage, key);
         let Some(dir) = path.parent() else { return };
         if std::fs::create_dir_all(dir).is_err() {
@@ -191,20 +184,9 @@ impl StageCache {
             std::thread::current().id()
         ));
         if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
-            self.counters.writes.fetch_add(1, Ordering::Relaxed);
+            tally.writes += 1;
         } else {
             let _ = std::fs::remove_file(&tmp);
-        }
-    }
-
-    /// Current counter totals.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            writes: self.counters.writes.load(Ordering::Relaxed),
-            corrupt: self.counters.corrupt.load(Ordering::Relaxed),
         }
     }
 
@@ -212,8 +194,8 @@ impl StageCache {
     /// directory (falling back to removal if the move fails) — the
     /// entry's slot is free for recomputation either way, and the bad
     /// bytes survive for post-mortem until the next GC sweep.
-    fn quarantine(&self, path: &Path) {
-        self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
+    fn quarantine(&self, path: &Path, tally: &mut CacheStats) {
+        tally.corrupt += 1;
         let dir = self.quarantine_dir();
         let moved = std::fs::create_dir_all(&dir).is_ok()
             && path
@@ -377,45 +359,50 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let cache = StageCache::open(tmp_root("mh")).unwrap();
+        let mut t = CacheStats::default();
         let key = "a".repeat(64);
-        assert!(cache.get("placement", &key).is_none());
+        assert!(cache.get("placement", &key, &mut t).is_none());
         let payload = Value::Str("data".into());
-        cache.put("placement", &key, &payload);
-        assert_eq!(cache.get("placement", &key), Some(payload));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.writes, s.corrupt), (1, 1, 1, 0));
+        cache.put("placement", &key, &payload, &mut t);
+        assert_eq!(cache.get("placement", &key, &mut t), Some(payload));
+        assert_eq!((t.hits, t.misses, t.writes, t.corrupt), (1, 1, 1, 0));
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
     #[test]
     fn stages_are_disjoint_namespaces() {
         let cache = StageCache::open(tmp_root("ns")).unwrap();
+        let mut t = CacheStats::default();
         let key = "b".repeat(64);
-        cache.put("placement", &key, &Value::Num(1.0));
-        assert!(cache.get("result", &key).is_none());
+        cache.put("placement", &key, &Value::Num(1.0), &mut t);
+        assert!(cache.get("result", &key, &mut t).is_none());
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
     #[test]
     fn corrupted_entry_is_quarantined_and_recovered() {
         let cache = StageCache::open(tmp_root("cor")).unwrap();
+        let mut t = CacheStats::default();
         let key = "c".repeat(64);
-        cache.put("result", &key, &Value::Num(42.0));
+        cache.put("result", &key, &Value::Num(42.0), &mut t);
 
         // Truncate the entry mid-JSON.
         let path = cache.entry_path("result", &key);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
 
-        assert!(cache.get("result", &key).is_none(), "corrupt => miss");
+        assert!(
+            cache.get("result", &key, &mut t).is_none(),
+            "corrupt => miss"
+        );
         assert!(!path.exists(), "corrupt entry moved out of its slot");
         let corpse = cache.quarantine_dir().join(format!("{key}.json"));
         assert!(corpse.exists(), "corrupt entry kept for post-mortem");
-        assert_eq!(cache.stats().corrupt, 1);
+        assert_eq!(t.corrupt, 1);
 
         // Recomputation path: put again, read back.
-        cache.put("result", &key, &Value::Num(42.0));
-        assert_eq!(cache.get("result", &key), Some(Value::Num(42.0)));
+        cache.put("result", &key, &Value::Num(42.0), &mut t);
+        assert_eq!(cache.get("result", &key, &mut t), Some(Value::Num(42.0)));
 
         // The corpse is ordinary GC state now: an unlimited sweep keeps
         // it (post-mortem evidence has no deadline of its own), a byte
@@ -427,7 +414,7 @@ mod tests {
         let sweep = cache.gc(Some(scan.bytes_before - 1), None).unwrap();
         assert_eq!(sweep.evicted, 1, "the corpse is the oldest victim");
         assert!(!corpse.exists());
-        assert_eq!(cache.get("result", &key), Some(Value::Num(42.0)));
+        assert_eq!(cache.get("result", &key, &mut t), Some(Value::Num(42.0)));
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
@@ -438,15 +425,19 @@ mod tests {
     #[test]
     fn gc_accounts_for_and_evicts_quarantined_entries() {
         let cache = StageCache::open(tmp_root("gc_quar")).unwrap();
+        let mut t = CacheStats::default();
         let k0 = "0".repeat(64);
         let k1 = "f".repeat(64);
-        cache.put("result", &k0, &Value::Str("x".repeat(64)));
+        cache.put("result", &k0, &Value::Str("x".repeat(64)), &mut t);
         let path = cache.entry_path("result", &k0);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert!(cache.get("result", &k0).is_none(), "corrupt => quarantined");
+        assert!(
+            cache.get("result", &k0, &mut t).is_none(),
+            "corrupt => quarantined"
+        );
         std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.put("result", &k1, &Value::Str("y".repeat(64)));
+        cache.put("result", &k1, &Value::Str("y".repeat(64)), &mut t);
 
         let scan = cache.gc(None, None).unwrap();
         assert_eq!(scan.scanned, 2, "the corpse is size-accounted");
@@ -458,7 +449,7 @@ mod tests {
         assert_eq!(sweep.evicted, 1, "budget eviction is oldest-first");
         assert!(!corpse.exists(), "the older corpse went before live data");
         assert_eq!(
-            cache.get("result", &k1),
+            cache.get("result", &k1, &mut t),
             Some(Value::Str("y".repeat(64))),
             "the younger live entry survives"
         );
@@ -468,8 +459,9 @@ mod tests {
     #[test]
     fn bitflipped_payload_fails_the_checksum() {
         let cache = StageCache::open(tmp_root("sum")).unwrap();
+        let mut t = CacheStats::default();
         let key = "9".repeat(64);
-        cache.put("result", &key, &Value::Str("payload-data".into()));
+        cache.put("result", &key, &Value::Str("payload-data".into()), &mut t);
 
         // Flip one payload byte: the entry still parses as JSON and the
         // embedded key/stage still match — only the checksum catches it.
@@ -479,8 +471,11 @@ mod tests {
         assert_ne!(text, tampered, "tamper site present");
         std::fs::write(&path, tampered).unwrap();
 
-        assert!(cache.get("result", &key).is_none(), "bad sum => miss");
-        assert_eq!(cache.stats().corrupt, 1);
+        assert!(
+            cache.get("result", &key, &mut t).is_none(),
+            "bad sum => miss"
+        );
+        assert_eq!(t.corrupt, 1);
         assert!(
             cache.quarantine_dir().join(format!("{key}.json")).exists(),
             "tampered entry quarantined"
@@ -491,6 +486,7 @@ mod tests {
     #[test]
     fn entry_without_checksum_is_unverifiable_hence_corrupt() {
         let cache = StageCache::open(tmp_root("nosum")).unwrap();
+        let mut t = CacheStats::default();
         let key = "8".repeat(64);
         let path = cache.entry_path("result", &key);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -500,33 +496,38 @@ mod tests {
             .field("payload", Value::Num(1.0))
             .build();
         std::fs::write(&path, entry.to_json()).unwrap();
-        assert!(cache.get("result", &key).is_none(), "no sum => no trust");
-        assert_eq!(cache.stats().corrupt, 1);
+        assert!(
+            cache.get("result", &key, &mut t).is_none(),
+            "no sum => no trust"
+        );
+        assert_eq!(t.corrupt, 1);
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
     #[test]
     fn wrong_key_inside_entry_is_corruption() {
         let cache = StageCache::open(tmp_root("wk")).unwrap();
+        let mut t = CacheStats::default();
         let key1 = "d".repeat(64);
         let key2 = "e".repeat(64);
-        cache.put("result", &key1, &Value::Bool(true));
+        cache.put("result", &key1, &Value::Bool(true), &mut t);
         // Copy entry for key1 into key2's slot: content-address mismatch.
         let from = cache.entry_path("result", &key1);
         let to = cache.entry_path("result", &key2);
         std::fs::create_dir_all(to.parent().unwrap()).unwrap();
         std::fs::copy(&from, &to).unwrap();
-        assert!(cache.get("result", &key2).is_none());
-        assert_eq!(cache.stats().corrupt, 1);
+        assert!(cache.get("result", &key2, &mut t).is_none());
+        assert_eq!(t.corrupt, 1);
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
     #[test]
     fn gc_respects_size_budget_oldest_first() {
         let cache = StageCache::open(tmp_root("gc_size")).unwrap();
+        let mut t = CacheStats::default();
         for i in 0..6 {
             let key = format!("{i:064}");
-            cache.put("result", &key, &Value::Str("x".repeat(64)));
+            cache.put("result", &key, &Value::Str("x".repeat(64)), &mut t);
         }
         let all = cache.gc(None, None).unwrap();
         assert_eq!(all.scanned, 6);
@@ -543,7 +544,7 @@ mod tests {
         let mut hits = 0;
         for i in 0..6 {
             let key = format!("{i:064}");
-            if cache.get("result", &key).is_some() {
+            if cache.get("result", &key, &mut t).is_some() {
                 hits += 1;
             }
         }
@@ -554,10 +555,11 @@ mod tests {
     #[test]
     fn gc_is_lru_a_just_hit_entry_survives_a_size_sweep() {
         let cache = StageCache::open(tmp_root("gc_lru")).unwrap();
+        let mut t = CacheStats::default();
         let hot = "a".repeat(64);
         let cold = "b".repeat(64);
-        cache.put("result", &hot, &Value::Str("x".repeat(64)));
-        cache.put("result", &cold, &Value::Str("x".repeat(64)));
+        cache.put("result", &hot, &Value::Str("x".repeat(64)), &mut t);
+        cache.put("result", &cold, &Value::Str("x".repeat(64)), &mut t);
 
         // Backdate both entries, the hot one *further into the past* —
         // under insertion-order GC it would be the first victim.
@@ -571,7 +573,7 @@ mod tests {
         backdate(&cold, 3_600);
 
         // A hit must refresh the hot entry's recency...
-        assert!(cache.get("result", &hot).is_some());
+        assert!(cache.get("result", &hot, &mut t).is_some());
 
         // ...so a sweep that only has room for one entry evicts the
         // colder, *older-by-last-use* entry, not the older-by-insertion
@@ -579,16 +581,23 @@ mod tests {
         let all = cache.gc(None, None).unwrap();
         let sweep = cache.gc(Some(all.bytes_before / 2), None).unwrap();
         assert_eq!(sweep.evicted, 1);
-        assert!(cache.get("result", &hot).is_some(), "just-hit entry kept");
-        assert!(cache.get("result", &cold).is_none(), "LRU entry evicted");
+        assert!(
+            cache.get("result", &hot, &mut t).is_some(),
+            "just-hit entry kept"
+        );
+        assert!(
+            cache.get("result", &cold, &mut t).is_none(),
+            "LRU entry evicted"
+        );
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
     #[test]
     fn gc_age_limit_evicts_stale_entries() {
         let cache = StageCache::open(tmp_root("gc_age")).unwrap();
+        let mut t = CacheStats::default();
         let key = "a".repeat(64);
-        cache.put("placement", &key, &Value::Num(1.0));
+        cache.put("placement", &key, &Value::Num(1.0), &mut t);
         std::thread::sleep(std::time::Duration::from_millis(20));
         let sweep = cache
             .gc(None, Some(std::time::Duration::from_millis(1)))
@@ -596,7 +605,7 @@ mod tests {
         assert_eq!(sweep.evicted, 1, "stale entry evicted");
         assert_eq!(sweep.bytes_after(), 0);
         let keep = StageCache::open(cache.root()).unwrap();
-        keep.put("placement", &key, &Value::Num(2.0));
+        keep.put("placement", &key, &Value::Num(2.0), &mut t);
         let sweep = keep
             .gc(None, Some(std::time::Duration::from_secs(3600)))
             .unwrap();
@@ -607,19 +616,25 @@ mod tests {
     #[test]
     fn concurrent_writers_race_benignly() {
         let cache = StageCache::open(tmp_root("cc")).unwrap();
+        let mut t = CacheStats::default();
         let key = "f".repeat(64);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        cache.put("result", &key, &Value::Num(7.0));
-                        let _ = cache.get("result", &key);
-                    }
-                });
-            }
+        let racers: CacheStats = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut t = CacheStats::default();
+                        for _ in 0..50 {
+                            cache.put("result", &key, &Value::Num(7.0), &mut t);
+                            let _ = cache.get("result", &key, &mut t);
+                        }
+                        t
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
-        assert_eq!(cache.get("result", &key), Some(Value::Num(7.0)));
-        assert_eq!(cache.stats().corrupt, 0, "no torn reads");
+        assert_eq!(cache.get("result", &key, &mut t), Some(Value::Num(7.0)));
+        assert_eq!(racers.corrupt + t.corrupt, 0, "no torn reads");
         let _ = std::fs::remove_dir_all(cache.root());
     }
 }

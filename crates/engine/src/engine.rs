@@ -20,6 +20,10 @@
 //! job's intra-parallelism budget) and records per-node wall clock and
 //! cache outcome. There is no per-flavor execution code here: `dcs`,
 //! `mdr` and `pair`/`combined` differ only in the plan they compile to.
+//! Every job runs through [`Engine::execute_plan`]; a caller that
+//! already compiled the job (the serve admission path, which derives
+//! the scheduling fingerprint from the plan) hands the plan over
+//! instead of compiling twice.
 //!
 //! # Stage caching
 //!
@@ -43,17 +47,22 @@
 use crate::cache::{CacheStats, StageCache};
 use crate::hash::Sha256;
 use crate::job::{
-    multi_placement_from, placements_from, placements_value, Job, JobCacheInfo, JobError,
-    JobOutcome, JobResult,
+    self, multi_placement_from, placements_from, placements_value, BatchSpec, Job, JobCacheInfo,
+    JobError, JobOutcome, JobResult,
 };
-use crate::json::ObjBuilder;
+use crate::json::{ObjBuilder, Value};
 use mm_flow::pool;
 use mm_flow::stage::{
-    Artifact, ArtifactKind, CacheOutcome, Lookup, PlanHooks, PlanNode, StageTiming,
+    Artifact, ArtifactKind, CacheOutcome, Lookup, PlanHooks, PlanNode, StagePlan, StageTiming,
 };
-use std::path::PathBuf;
+use mm_flow::{FlowError, FlowOptions};
+use mm_netlist::{blif, LutCircuit};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -63,12 +72,15 @@ pub struct EngineOptions {
     pub threads: usize,
     /// Stage-cache root; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
-    /// In-memory result memo capacity in entries (`0` disables it). The
-    /// memo keeps the most recent `result`-stage values keyed by the
-    /// same content-addressed key as the disk cache, so a long-running
-    /// service re-serving identical legs skips the file read *and* the
-    /// JSON text parse on every warm hit. Purely an acceleration layer:
-    /// records are byte-identical with the memo on or off.
+    /// In-memory memo capacity in entries (`0` disables both memos).
+    /// The result memo keeps the most recent `result`-stage values keyed
+    /// by the same content-addressed key as the disk cache, so a
+    /// long-running service re-serving identical legs skips the file
+    /// read *and* the JSON text parse on every warm hit. The parse memo
+    /// of [`Engine::load_spec`] keeps as many parsed input BLIFs, keyed
+    /// by their full bytes, and holds at most [`PARSE_MEMO_BYTES`] of
+    /// source text. Purely an acceleration layer: records are
+    /// byte-identical with the memos on or off.
     pub result_memo: usize,
 }
 
@@ -105,8 +117,6 @@ impl EngineStats {
     /// Aggregates the counters from finished results — every number in
     /// the summary is derived from the per-job [`JobCacheInfo`] records,
     /// so batch-level and per-job accounting can never disagree.
-    /// (`quarantined` is store-level, not per-job: the caller fills it
-    /// from the batch's [`CacheStats`] delta.)
     #[must_use]
     pub fn from_results(results: &[JobResult]) -> Self {
         let ok = results.iter().filter(|r| r.outcome.is_ok()).count();
@@ -123,7 +133,7 @@ impl EngineStats {
                 .filter(|s| s.cache == CacheOutcome::Hit)
                 .count(),
             stage_time: stage_timings.map(|s| s.duration).sum(),
-            quarantined: 0,
+            quarantined: results.iter().map(|r| r.cache.store.corrupt as usize).sum(),
         }
     }
 }
@@ -144,6 +154,20 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
+    /// The report of a finished batch. Its stage-cache counters are the
+    /// sum of the jobs' own ([`JobCacheInfo::store`]), so batches that
+    /// share an engine never count each other's activity.
+    #[must_use]
+    pub fn from_results(results: Vec<JobResult>, wall: Duration, threads: usize) -> Self {
+        Self {
+            stats: EngineStats::from_results(&results),
+            cache: results.iter().map(|r| r.cache.store).sum(),
+            results,
+            wall,
+            threads,
+        }
+    }
+
     /// Sum of per-job execution times — what a strictly serial run would
     /// have cost (directly comparable to `wall` for the parallel
     /// speed-up).
@@ -200,33 +224,64 @@ impl BatchReport {
 pub struct Engine {
     threads: usize,
     cache: Option<StageCache>,
-    memo: Option<std::sync::Mutex<ResultMemo>>,
+    memo: Option<Mutex<Memo<String, Value>>>,
+    inputs: Option<Mutex<Memo<(usize, String), LutCircuit>>>,
 }
 
-/// The in-memory `result`-stage memo: a bounded map from content
-/// key to the exact [`crate::json::Value`] the disk cache would
-/// round-trip. Entries are what [`JobOutcome::to_value`] wrote, and
-/// hits re-parse through [`JobOutcome::from_value`] with the *current*
-/// job's name — the same semantics as a disk hit, minus I/O.
+/// The most source text the parse memo of [`Engine::load_spec`] holds.
+pub const PARSE_MEMO_BYTES: usize = 32 << 20;
+
+/// A bounded in-memory memo with generation eviction: a memo that is
+/// full — in entries, or in the summed byte weights of its entries — is
+/// wiped wholesale before the next insert. Warm steady-state working
+/// sets far below the bounds never evict, and the bounds hold without
+/// per-entry recency bookkeeping.
+///
+/// The engine keeps two: `result`-stage values under the disk cache's
+/// content key (hits re-parse through [`JobOutcome::from_value`] with
+/// the *current* job's name — a disk hit minus the I/O), and parsed
+/// input circuits under `(k, full BLIF text)`, weighted by the text's
+/// length.
 #[derive(Debug)]
-struct ResultMemo {
-    entries: std::collections::HashMap<String, crate::json::Value>,
+struct Memo<K, V> {
+    entries: HashMap<K, V>,
     capacity: usize,
+    ceiling: usize,
+    held: usize,
 }
 
-impl ResultMemo {
-    fn get(&self, key: &str) -> Option<&crate::json::Value> {
+impl<K: Hash + Eq, V> Memo<K, V> {
+    fn new(capacity: usize, ceiling: usize) -> Self {
+        Self {
+            entries: HashMap::new(),
+            capacity,
+            ceiling,
+            held: 0,
+        }
+    }
+
+    fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.entries.get(key)
     }
 
-    fn put(&mut self, key: &str, value: crate::json::Value) {
-        // Generation eviction: a full memo is wiped wholesale. Warm
-        // steady-state working sets far below the capacity never evict,
-        // and the bound holds without per-entry recency bookkeeping.
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(key) {
-            self.entries.clear();
+    /// Inserts `value` weighing `bytes` (a function of `key`); an entry
+    /// heavier than the whole ceiling is not kept.
+    fn put(&mut self, key: K, value: V, bytes: usize) {
+        if bytes > self.ceiling {
+            return;
         }
-        self.entries.insert(key.to_string(), value);
+        if !self.entries.contains_key(&key) {
+            if self.entries.len() >= self.capacity || self.held + bytes > self.ceiling {
+                self.entries.clear();
+                self.held = 0;
+            }
+            self.held += bytes;
+        }
+        self.entries.insert(key, value);
     }
 }
 
@@ -243,16 +298,12 @@ impl Engine {
             options.threads
         };
         let cache = options.cache_dir.map(StageCache::open).transpose()?;
-        let memo = (options.result_memo > 0).then(|| {
-            std::sync::Mutex::new(ResultMemo {
-                entries: std::collections::HashMap::new(),
-                capacity: options.result_memo,
-            })
-        });
+        let entries = options.result_memo;
         Ok(Self {
             threads,
             cache,
-            memo,
+            memo: (entries > 0).then(|| Mutex::new(Memo::new(entries, usize::MAX))),
+            inputs: (entries > 0).then(|| Mutex::new(Memo::new(entries, PARSE_MEMO_BYTES))),
         })
     }
 
@@ -266,6 +317,80 @@ impl Engine {
     #[must_use]
     pub fn cache(&self) -> Option<&StageCache> {
         self.cache.as_ref()
+    }
+
+    /// Loads a batch like [`job::load_spec_with_modes`], through the
+    /// engine's parse memo: every mode BLIF is read from disk, and one
+    /// whose bytes were parsed before at the same `k` is reused instead
+    /// of parsed again. The key is the file's content, never its path or
+    /// mtime, so a changed file is always re-parsed; parse errors are
+    /// not memoized. Alongside the batch come the jobs' load-time cache
+    /// provenance ([`JobCacheInfo::inputs_parsed`] and
+    /// [`JobCacheInfo::inputs_reused`]), in job order.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`job::load_spec_with_modes`].
+    pub fn load_spec(
+        &self,
+        spec: &str,
+        base: &FlowOptions,
+        k: usize,
+        modes: Option<usize>,
+    ) -> Result<(BatchSpec, Vec<JobCacheInfo>), String> {
+        let mut reused = Vec::new();
+        let batch = job::load_spec_reading(spec, base, k, modes, &mut |path: &Path, k| {
+            let text = job::read_blif_text(path)?;
+            let (circuit, hit) = self
+                .parse_input(text, k)
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            reused.push(hit);
+            Ok(circuit)
+        })?;
+        // Files are read once per mode in job order, so each job's
+        // inputs are the next `circuits.len()` reads (a generated suite
+        // reads none).
+        let mut reused = reused.into_iter();
+        let infos = batch
+            .jobs
+            .iter()
+            .map(|job| {
+                let mut info = JobCacheInfo::default();
+                for hit in reused.by_ref().take(job.circuits.len()) {
+                    if hit {
+                        info.inputs_reused += 1;
+                    } else {
+                        info.inputs_parsed += 1;
+                    }
+                }
+                info
+            })
+            .collect();
+        Ok((batch, infos))
+    }
+
+    /// Parses one BLIF text through the parse memo; `true` marks a
+    /// memo hit.
+    fn parse_input(
+        &self,
+        text: String,
+        k: usize,
+    ) -> Result<(LutCircuit, bool), mm_netlist::NetlistError> {
+        let Some(memo) = &self.inputs else {
+            return Ok((blif::from_blif(&text, k)?, false));
+        };
+        let key = (k, text);
+        if let Some(circuit) = memo.lock().expect("parse memo lock").get(&key) {
+            return Ok((circuit.clone(), true));
+        }
+        // Parsed outside the lock: concurrent loads of different inputs
+        // must not serialize on it.
+        let circuit = blif::from_blif(&key.1, k)?;
+        let bytes = key.1.len();
+        memo.lock()
+            .expect("parse memo lock")
+            .put(key, circuit.clone(), bytes);
+        Ok((circuit, false))
     }
 
     /// Runs a batch, discarding the stream.
@@ -307,93 +432,89 @@ impl Engine {
                 job.options.intra_parallelism = intra_budget;
             }
         }
-        let cache_before = self
-            .cache
-            .as_ref()
-            .map(StageCache::stats)
-            .unwrap_or_default();
         let results = pool::run_ordered(
             jobs,
             self.threads,
-            |_, job| self.execute(&job, cancel),
+            |_, job| {
+                if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                    JobResult::failed(
+                        &job.name,
+                        job.flow,
+                        JobError::engine("cancelled before execution"),
+                    )
+                } else {
+                    self.execute_job(&job)
+                }
+            },
             |_, result| sink(result),
         );
-        let wall = t0.elapsed();
-
-        let mut stats = EngineStats::from_results(&results);
-        debug_assert_eq!(stats.jobs, n);
-        // Per-batch counters: a long-lived engine runs many batches
-        // against one cumulative StageCache.
-        let cache = self
-            .cache
-            .as_ref()
-            .map(|c| c.stats().since(cache_before))
-            .unwrap_or_default();
-        stats.quarantined = cache.corrupt as usize;
-        BatchReport {
-            results,
-            stats,
-            cache,
-            wall,
-            threads: self.threads,
-        }
+        let report = BatchReport::from_results(results, t0.elapsed(), self.threads);
+        debug_assert_eq!(report.stats.jobs, n);
+        report
     }
 
-    /// Runs one job outside any batch — the entry point a long-running
-    /// service uses to multiplex jobs from many connections onto one
-    /// shared worker pool while keeping the engine's cache semantics.
+    /// Runs one job outside any batch — compiling it, then
+    /// [`Engine::execute_plan`]; the result's duration covers both.
     ///
     /// A failing job returns a [`JobResult`] with a structured
     /// [`JobError`] outcome; this never panics on infeasible inputs.
     #[must_use]
     pub fn execute_job(&self, job: &Job) -> JobResult {
-        self.execute(job, None)
+        let t0 = Instant::now();
+        let mut result = self.execute_plan(job, &job.compile(), JobCacheInfo::default());
+        result.duration = t0.elapsed();
+        result
     }
 
-    fn execute(&self, job: &Job, cancel: Option<&std::sync::atomic::AtomicBool>) -> JobResult {
-        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            return JobResult {
-                name: job.name.clone(),
-                flow: job.flow,
-                outcome: Err(JobError::engine("cancelled before execution")),
-                cache: JobCacheInfo::default(),
-                duration: Duration::ZERO,
-                stages: Vec::new(),
-            };
-        }
+    /// Runs one job through its precompiled `plan` ([`Job::compile`] of
+    /// `job`) — the engine's one execution path, and the entry point a
+    /// long-running service uses to multiplex jobs from many connections
+    /// onto one shared worker pool while keeping the engine's cache
+    /// semantics. `cache` is the provenance the job gathered before it
+    /// ran (its [`Engine::load_spec`] inputs); execution adds the rest,
+    /// derived from the plan executor's per-node telemetry so batch
+    /// counters and stage timings can never disagree.
+    ///
+    /// A failing job returns a [`JobResult`] with a structured
+    /// [`JobError`] outcome; this never panics on infeasible inputs.
+    #[must_use]
+    pub fn execute_plan(
+        &self,
+        job: &Job,
+        plan: &Result<StagePlan, FlowError>,
+        mut cache: JobCacheInfo,
+    ) -> JobResult {
         let t0 = Instant::now();
-        let mut info = JobCacheInfo::default();
-        let (outcome, stages) = self.run_flow(job, &mut info);
+        let (outcome, stages) = match plan {
+            Ok(plan) => self.run_plan(job, plan, &mut cache),
+            Err(e) => (Err(JobError::from_flow(e)), Vec::new()),
+        };
         JobResult {
             name: job.name.clone(),
             flow: job.flow,
             outcome,
-            cache: info,
+            cache,
             duration: t0.elapsed(),
             stages,
         }
     }
 
-    /// Compiles the job to its stage plan and runs it through the plan
-    /// executor; every flow flavour takes this one path. The per-job
-    /// cache provenance is derived from the executor's per-node
-    /// telemetry, so batch counters and stage timings can never
-    /// disagree.
-    fn run_flow(
+    /// Runs `plan` through the executor with the engine's cache hooks,
+    /// folding the per-node outcomes into `info`.
+    fn run_plan(
         &self,
         job: &Job,
+        plan: &StagePlan,
         info: &mut JobCacheInfo,
     ) -> (Result<JobOutcome, JobError>, Vec<StageTiming>) {
-        let plan = match job.compile() {
-            Ok(plan) => plan,
-            Err(e) => return (Err(JobError::from_flow(&e)), Vec::new()),
-        };
         let hooks = EngineHooks {
             cache: self.cache.as_ref(),
             memo: self.memo.as_ref(),
             job,
+            tally: Cell::new(CacheStats::default()),
         };
         let run = plan.execute(&hooks, job.options.intra_parallelism);
+        info.store += hooks.tally.get();
         for stage in &run.stages {
             match stage.cache {
                 CacheOutcome::Hit if stage.kind.is_placement() => {
@@ -431,8 +552,11 @@ impl Engine {
 /// additionally memoized in memory (a disk hit back-fills the memo).
 struct EngineHooks<'a> {
     cache: Option<&'a StageCache>,
-    memo: Option<&'a std::sync::Mutex<ResultMemo>>,
+    memo: Option<&'a Mutex<Memo<String, Value>>>,
     job: &'a Job,
+    /// This job's disk-cache activity (lookups and stores run on the
+    /// executor's calling thread).
+    tally: Cell<CacheStats>,
 }
 
 impl EngineHooks<'_> {
@@ -503,11 +627,14 @@ impl PlanHooks for EngineHooks<'_> {
             }
         }
         if let Some(cache) = self.cache {
-            if let Some(v) = cache.get(Self::namespace(kind), &key) {
+            let mut tally = self.tally.get();
+            let found = cache.get(Self::namespace(kind), &key, &mut tally);
+            self.tally.set(tally);
+            if let Some(v) = found {
                 if let Some(artifact) = self.decode(kind, &v) {
                     if cacheable_in_memo {
                         if let Some(memo) = self.memo {
-                            memo.lock().expect("memo lock").put(&key, v);
+                            memo.lock().expect("memo lock").put(key, v, 0);
                         }
                     }
                     return Lookup::Hit(artifact);
@@ -525,11 +652,13 @@ impl PlanHooks for EngineHooks<'_> {
         let key = Self::key(node);
         let value = self.encode(artifact);
         if let Some(cache) = self.cache {
-            cache.put(Self::namespace(kind), &key, &value);
+            let mut tally = self.tally.get();
+            cache.put(Self::namespace(kind), &key, &value, &mut tally);
+            self.tally.set(tally);
         }
         if !kind.is_placement() {
             if let Some(memo) = self.memo {
-                memo.lock().expect("memo lock").put(&key, value);
+                memo.lock().expect("memo lock").put(key, value, 0);
             }
         }
     }
@@ -551,5 +680,111 @@ mod tests {
         let auto = Engine::new(EngineOptions::default()).unwrap();
         assert!(auto.threads() >= 1);
         assert!(auto.cache().is_none());
+    }
+
+    const AND2: &str = ".model a\n.inputs x y\n.outputs f\n.names x y f\n11 1\n.end\n";
+    const OR2: &str = ".model a\n.inputs x y\n.outputs f\n.names x y f\n1- 1\n-1 1\n.end\n";
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mm_engine_memo_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A directory spec of one job per entry of `groups`, each holding
+    /// one `m.blif` with the given text.
+    fn write_groups(dir: &Path, groups: &[&str]) {
+        for (g, text) in groups.iter().enumerate() {
+            let group = dir.join(format!("g{g}"));
+            std::fs::create_dir_all(&group).unwrap();
+            std::fs::write(group.join("m.blif"), text).unwrap();
+        }
+    }
+
+    fn memo_engine(result_memo: usize) -> Engine {
+        Engine::new(EngineOptions {
+            threads: 1,
+            cache_dir: None,
+            result_memo,
+        })
+        .unwrap()
+    }
+
+    /// (parsed, reused) per job of one `Engine::load_spec`.
+    fn load(engine: &Engine, dir: &Path) -> Result<Vec<(usize, usize)>, String> {
+        let (_, infos) =
+            engine.load_spec(dir.to_str().unwrap(), &FlowOptions::default(), 4, None)?;
+        Ok(infos
+            .iter()
+            .map(|i| (i.inputs_parsed, i.inputs_reused))
+            .collect())
+    }
+
+    #[test]
+    fn the_same_bytes_under_two_paths_are_parsed_once() {
+        let dir = tmp_dir("paths");
+        write_groups(&dir, &[AND2, AND2, OR2]);
+        let engine = memo_engine(16);
+        assert_eq!(load(&engine, &dir).unwrap(), [(1, 0), (0, 1), (1, 0)]);
+        assert_eq!(load(&engine, &dir).unwrap(), [(0, 1), (0, 1), (0, 1)]);
+        // The memo is transparent: the jobs equal the free loader's.
+        let (batch, _) = engine
+            .load_spec(dir.to_str().unwrap(), &FlowOptions::default(), 4, None)
+            .unwrap();
+        let plain = job::load_spec(dir.to_str().unwrap(), &FlowOptions::default(), 4).unwrap();
+        for (a, b) in batch.jobs.iter().zip(&plain.jobs) {
+            assert_eq!(blif::to_blif(&a.circuits[0]), blif::to_blif(&b.circuits[0]));
+        }
+        // `k` is part of the key: the same bytes at another LUT width
+        // parse afresh.
+        let (_, infos) = engine
+            .load_spec(dir.to_str().unwrap(), &FlowOptions::default(), 5, None)
+            .unwrap();
+        assert_eq!(infos[0].inputs_parsed, 1);
+        // With the memos disabled every read is a parse.
+        assert_eq!(
+            load(&memo_engine(0), &dir).unwrap(),
+            [(1, 0), (1, 0), (1, 0)]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_blif_that_failed_to_parse_parses_once_it_is_fixed() {
+        let dir = tmp_dir("fixed");
+        write_groups(&dir, &[".model a\n.inputs x\n.names x y z\n1 1\n"]);
+        let engine = memo_engine(16);
+        let err = load(&engine, &dir).unwrap_err();
+        assert!(err.contains("m.blif"), "{err}");
+        assert!(
+            load(&engine, &dir).is_err(),
+            "the same bad bytes fail again"
+        );
+        write_groups(&dir, &[AND2]);
+        assert_eq!(load(&engine, &dir).unwrap(), [(1, 0)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_parse_memo_never_holds_more_than_its_ceiling() {
+        let ceiling = 1000;
+        let mut memo: Memo<(usize, String), usize> = Memo::new(64, ceiling);
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for i in 0..2000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let len = (rng % 1200) as usize;
+            let key = (4, format!("{i}:{}", "x".repeat(len)));
+            let bytes = key.1.len();
+            memo.put(key, i, bytes);
+            let held: usize = memo.entries.keys().map(|(_, text)| text.len()).sum();
+            assert_eq!(memo.held, held, "the weight bookkeeping is exact");
+            assert!(memo.held <= ceiling, "{} > {ceiling}", memo.held);
+            assert!(memo.entries.len() <= 64);
+        }
+        // An entry heavier than the whole ceiling is never kept.
+        memo.put((4, "y".repeat(ceiling + 1)), 0, ceiling + 1);
+        assert!(memo.get(&(4, "y".repeat(ceiling + 1))).is_none());
     }
 }

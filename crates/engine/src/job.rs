@@ -16,6 +16,7 @@
 //! re-run emits byte-identical lines — cache transparency is part of the
 //! engine's contract. Timings and cache counters live in the summary.
 
+use crate::cache::CacheStats;
 use crate::json::{self, ObjBuilder, Value};
 use mm_bitstream::RewriteCost;
 use mm_flow::stage::{StagePlan, StageTiming};
@@ -168,8 +169,16 @@ impl Job {
     /// never panics on a job that will merely error at execution.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
+        self.plan_fingerprint(&self.compile())
+    }
+
+    /// [`Job::fingerprint`] from this job's already compiled `plan` (what
+    /// [`Job::compile`] returned), so a caller that goes on to execute
+    /// the plan compiles the job once.
+    #[must_use]
+    pub fn plan_fingerprint(&self, plan: &Result<StagePlan, mm_flow::FlowError>) -> u64 {
         let mut h = crate::hash::Sha256::new();
-        match self.compile() {
+        match plan {
             Ok(plan) => h.field(plan.root_fingerprint().as_bytes()),
             Err(_) => {
                 h.field(self.flow.fingerprint().as_bytes());
@@ -208,6 +217,15 @@ pub struct JobCacheInfo {
     pub placement_hits: usize,
     /// Flow stages actually executed (0 on a full hit).
     pub stages_recomputed: usize,
+    /// The stage-cache reads and writes this job made — its own share of
+    /// the store's counters, whatever else runs concurrently.
+    pub store: CacheStats,
+    /// Input BLIFs parsed when the job was loaded through
+    /// [`crate::Engine::load_spec`].
+    pub inputs_parsed: usize,
+    /// Input BLIFs the engine's parse memo served instead (same bytes,
+    /// same `k` as an earlier load).
+    pub inputs_reused: usize,
 }
 
 /// A structured per-job failure: which stage failed and why.
@@ -301,6 +319,20 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// The result of a job that did not run to an outcome (cancelled,
+    /// timed out, panicked): `error`, no provenance, no stages.
+    #[must_use]
+    pub fn failed(name: &str, flow: FlowKind, error: JobError) -> Self {
+        Self {
+            name: name.to_string(),
+            flow,
+            outcome: Err(error),
+            cache: JobCacheInfo::default(),
+            duration: Duration::ZERO,
+            stages: Vec::new(),
+        }
+    }
+
     fn record(&self) -> ObjBuilder {
         let b = ObjBuilder::new()
             .field("name", self.name.as_str())
@@ -635,6 +667,22 @@ pub fn load_spec_with_modes(
     k: usize,
     modes: Option<usize>,
 ) -> Result<BatchSpec, String> {
+    load_spec_reading(spec, base, k, modes, &mut parse_blif_file)
+}
+
+/// Turns one BLIF file into a circuit of `k`-LUTs; errors name the file.
+pub(crate) type ReadBlif<'a> = dyn FnMut(&Path, usize) -> Result<LutCircuit, String> + 'a;
+
+/// [`load_spec_with_modes`] with every mode file turned into a circuit
+/// by `read`, called once per mode in job order (generated suites read
+/// no files).
+pub(crate) fn load_spec_reading(
+    spec: &str,
+    base: &FlowOptions,
+    k: usize,
+    modes: Option<usize>,
+    read: &mut ReadBlif<'_>,
+) -> Result<BatchSpec, String> {
     if let Some(suite) = spec.strip_prefix("suite:") {
         let (name, inline) = match suite.split_once(':') {
             Some((name, m)) => {
@@ -659,13 +707,13 @@ pub fn load_spec_with_modes(
     let path = Path::new(spec);
     if path.is_dir() {
         return Ok(BatchSpec {
-            jobs: directory_jobs(path, base, k)?,
+            jobs: directory_jobs(path, base, k, read)?,
             source: SpecSource::Directory,
         });
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{spec}: {e}"))?;
     Ok(BatchSpec {
-        jobs: spec_file_jobs(&text, path, base, k)?,
+        jobs: spec_file_jobs(&text, path, base, k, read)?,
         source: SpecSource::File,
     })
 }
@@ -749,7 +797,12 @@ pub fn suite_jobs_n(
         .collect())
 }
 
-fn directory_jobs(dir: &Path, base: &FlowOptions, k: usize) -> Result<Vec<Job>, String> {
+fn directory_jobs(
+    dir: &Path,
+    base: &FlowOptions,
+    k: usize,
+    read: &mut ReadBlif<'_>,
+) -> Result<Vec<Job>, String> {
     let mut groups: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(Result::ok)
@@ -781,7 +834,7 @@ fn directory_jobs(dir: &Path, base: &FlowOptions, k: usize) -> Result<Vec<Job>, 
             .unwrap_or_else(|| "job".to_string());
         jobs.push(Job {
             name,
-            circuits: read_modes(&modes, k)?,
+            circuits: read_modes(&modes, k, read)?,
             flow: FlowKind::Dcs(CostKind::WireLength),
             options: *base,
         });
@@ -792,14 +845,24 @@ fn directory_jobs(dir: &Path, base: &FlowOptions, k: usize) -> Result<Vec<Job>, 
     Ok(jobs)
 }
 
-fn read_modes(paths: &[std::path::PathBuf], k: usize) -> Result<Vec<LutCircuit>, String> {
-    paths
-        .iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-            blif::from_blif(&text, k).map_err(|e| format!("{}: {e}", p.display()))
-        })
-        .collect()
+fn read_modes(
+    paths: &[std::path::PathBuf],
+    k: usize,
+    read: &mut ReadBlif<'_>,
+) -> Result<Vec<LutCircuit>, String> {
+    paths.iter().map(|p| read(p, k)).collect()
+}
+
+/// A BLIF file's text; errors name the file.
+pub(crate) fn read_blif_text(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Reads and parses one BLIF file — the [`ReadBlif`] of the free
+/// loaders.
+fn parse_blif_file(path: &Path, k: usize) -> Result<LutCircuit, String> {
+    let text = read_blif_text(path)?;
+    blif::from_blif(&text, k).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn spec_file_jobs(
@@ -807,6 +870,7 @@ fn spec_file_jobs(
     path: &Path,
     base: &FlowOptions,
     default_k: usize,
+    read: &mut ReadBlif<'_>,
 ) -> Result<Vec<Job>, String> {
     let doc = json::parse(text).map_err(|e| format!("{}: {e}", path.display()))?;
     let k = doc
@@ -823,7 +887,7 @@ fn spec_file_jobs(
 
     let mut jobs = Vec::with_capacity(jobs_value.len());
     for (index, jv) in jobs_value.iter().enumerate() {
-        let job = parse_job(jv, index, defaults, spec_dir, base, k)
+        let job = parse_job(jv, index, defaults, spec_dir, base, k, read)
             .map_err(|e| format!("{} job {index}: {e}", path.display()))?;
         jobs.push(job);
     }
@@ -862,6 +926,7 @@ fn parse_job(
     spec_dir: &Path,
     base: &FlowOptions,
     k: usize,
+    read: &mut ReadBlif<'_>,
 ) -> Result<Job, String> {
     let modes = jv
         .get("modes")
@@ -875,7 +940,7 @@ fn parse_job(
                 .ok_or_else(|| "mode paths must be strings".to_string())
         })
         .collect::<Result<_, _>>()?;
-    let circuits = read_modes(&paths, k)?;
+    let circuits = read_modes(&paths, k, read)?;
 
     let name = jv
         .get("name")

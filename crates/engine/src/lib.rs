@@ -51,7 +51,7 @@ pub mod protocol;
 pub use mm_flow::pool;
 
 pub use cache::{CacheStats, GcSummary, StageCache};
-pub use engine::{BatchReport, Engine, EngineOptions, EngineStats};
+pub use engine::{BatchReport, Engine, EngineOptions, EngineStats, PARSE_MEMO_BYTES};
 pub use job::{
     load_spec, load_spec_with_modes, multi_placement_from, placements_from, placements_value,
     suite_jobs, suite_jobs_n, BatchSpec, DcsSummary, FlowKind, Job, JobCacheInfo, JobError,

@@ -131,6 +131,9 @@ proptest! {
     /// (c) leave the store healed: a third run is fully warm and clean.
     #[test]
     fn corruption_storm_never_reaches_a_record(mask: u64, flip_byte: u8, truncate: bool) {
+        // Hold the fault lock unarmed: a concurrently armed test would
+        // otherwise fire its faults into this storm's reads.
+        let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let reference = cold_reference();
         let dir = tmp_dir("storm");
 
@@ -183,7 +186,7 @@ proptest! {
 
 /// Fault-point registry is process-global: armed tests take this lock
 /// and disarm through [`Armed`] so a panic cannot leak an armed
-/// registry into the storm proptest above.
+/// registry into the storm proptest above, which holds the lock too.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 struct Armed<'a> {

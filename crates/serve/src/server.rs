@@ -28,11 +28,9 @@ use crate::scheduler::{panic_message, ClientId, JobTask, Scheduler, Task};
 use mm_engine::faultpoint;
 use mm_engine::json::{ObjBuilder, Value};
 use mm_engine::protocol::{BatchRequest, Frame, Request};
-use mm_engine::{
-    load_spec_with_modes, BatchReport, CacheStats, Engine, EngineOptions, EngineStats, Job,
-    JobCacheInfo, JobError, JobResult,
-};
-use mm_flow::FlowOptions;
+use mm_engine::{BatchReport, Engine, EngineOptions, Job, JobCacheInfo, JobError, JobResult};
+use mm_flow::stage::StagePlan;
+use mm_flow::{FlowError, FlowOptions};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -438,6 +436,26 @@ impl Server {
     /// Fails if the socket cannot be bound or the cache directory cannot
     /// be created.
     pub fn bind(listen: &Listen, options: &ServeOptions) -> std::io::Result<Self> {
+        // The service is long-running and re-serves identical legs and
+        // inputs; the in-memory memos keep warm requests off the disk
+        // cache and the BLIF parser.
+        Self::bind_with_memo(listen, options, 4096)
+    }
+
+    /// [`Server::bind`] with the engine's in-memory memo capacity set to
+    /// `result_memo` entries ([`EngineOptions::result_memo`]; `0`
+    /// disables the result and parse memos, so every request re-parses
+    /// its inputs and reads its results from the stage cache). Records
+    /// are byte-identical either way.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Server::bind`].
+    pub fn bind_with_memo(
+        listen: &Listen,
+        options: &ServeOptions,
+        result_memo: usize,
+    ) -> std::io::Result<Self> {
         if let Some(spec) = &options.fault_spec {
             faultpoint::arm(spec).map_err(|message| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
@@ -453,9 +471,7 @@ impl Server {
         let engine = Arc::new(Engine::new(EngineOptions {
             threads: scheduler.threads(),
             cache_dir: options.cache_dir.clone(),
-            // The service is long-running and re-serves identical legs;
-            // the in-memory memo is what keeps warm hits off the disk.
-            result_memo: 4096,
+            result_memo,
         })?);
         let (listener, listen) = match listen {
             Listen::Unix(path) => {
@@ -754,7 +770,6 @@ struct Streaming {
     total: usize,
     results: Vec<JobResult>,
     t0: Instant,
-    cache_before: CacheStats,
     /// Append per-stage telemetry to every streamed record (the
     /// request's `emit_stage_times` member). Default records stay the
     /// exact `mmflow batch` bytes.
@@ -1024,9 +1039,12 @@ impl Conn {
     /// it receives a `busy` frame and stays usable.
     fn admit_batch(&mut self, ctx: &Ctx<'_>, waker: &Arc<Waker>, request: &BatchRequest) {
         let options = request.flow_options(&FlowOptions::default());
-        let mut batch =
-            match load_spec_with_modes(&request.spec, &options, request.k, request.modes) {
-                Ok(batch) => batch,
+        let (batch, inputs) =
+            match ctx
+                .engine
+                .load_spec(&request.spec, &options, request.k, request.modes)
+            {
+                Ok(loaded) => loaded,
                 Err(message) => {
                     return self.queue_frame(&Frame::Error {
                         message,
@@ -1035,21 +1053,12 @@ impl Conn {
                     })
                 }
             };
-        if let Some(n) = request.max_jobs {
-            batch.jobs.truncate(n);
-        }
         let mut jobs = batch.jobs;
-        // The worker groups are shared by every connection — one worker
-        // per job, no intra-job fan-out on top (results are
-        // byte-identical either way).
-        for job in &mut jobs {
-            if job.options.intra_parallelism == 0 {
-                job.options.intra_parallelism = 1;
-            }
+        if let Some(n) = request.max_jobs {
+            jobs.truncate(n);
         }
         let n = jobs.len();
         let t0 = Instant::now();
-        let cache_before = ctx.engine.cache().map(|c| c.stats()).unwrap_or_default();
         let collector = Arc::new(Collector {
             slots: Mutex::new((0..n).map(|_| None).collect()),
             waker: Arc::clone(waker),
@@ -1058,9 +1067,19 @@ impl Conn {
         let deadline = ctx.scheduler.deadline();
         let tasks: Vec<JobTask> = jobs
             .into_iter()
+            .zip(inputs)
             .enumerate()
-            .map(|(index, job)| {
-                let fingerprint = job.fingerprint();
+            .map(|(index, (mut job, inputs))| {
+                // The worker groups are shared by every connection — one
+                // worker per job, no intra-job fan-out on top (results
+                // are byte-identical either way).
+                if job.options.intra_parallelism == 0 {
+                    job.options.intra_parallelism = 1;
+                }
+                // Compiled once: the plan gives the shard fingerprint
+                // here and is what the worker executes.
+                let plan = job.compile();
+                let fingerprint = job.plan_fingerprint(&plan);
                 let name = job.name.clone();
                 let flow = job.flow;
                 let engine = Arc::clone(ctx.engine);
@@ -1076,19 +1095,19 @@ impl Conn {
                 let run: Task = Box::new(move || {
                     let result = if cancel.load(Ordering::Relaxed) {
                         JobResult {
-                            name: job.name.clone(),
-                            flow: job.flow,
-                            outcome: Err(JobError::engine("cancelled: client disconnected")),
-                            cache: JobCacheInfo::default(),
-                            duration: Duration::ZERO,
-                            stages: Vec::new(),
+                            cache: inputs,
+                            ..JobResult::failed(
+                                &job.name,
+                                job.flow,
+                                JobError::engine("cancelled: client disconnected"),
+                            )
                         }
                     } else {
                         // Counted here — not at admission — so the
                         // operator's exit report only claims jobs that
                         // actually ran.
                         state.counters.jobs.fetch_add(1, Ordering::Relaxed);
-                        execute_with_retries(&engine, &job, &state.counters)
+                        execute_with_retries(&engine, &job, &plan, inputs, &state.counters)
                     };
                     if delivered
                         .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -1106,15 +1125,16 @@ impl Conn {
                         timeout_collector.deliver(
                             index,
                             JobResult {
-                                name,
-                                flow,
-                                outcome: Err(JobError::timeout(format!(
-                                    "job exceeded the {} ms deadline and was declared stuck",
-                                    deadline.as_millis()
-                                ))),
-                                cache: JobCacheInfo::default(),
+                                cache: inputs,
                                 duration: deadline,
-                                stages: Vec::new(),
+                                ..JobResult::failed(
+                                    &name,
+                                    flow,
+                                    JobError::timeout(format!(
+                                        "job exceeded the {} ms deadline and was declared stuck",
+                                        deadline.as_millis()
+                                    )),
+                                )
                             },
                         );
                     }
@@ -1149,7 +1169,6 @@ impl Conn {
                     total: n,
                     results: Vec::with_capacity(n),
                     t0,
-                    cache_before,
                     emit_stage_times: request.emit_stage_times,
                     drop_at,
                 });
@@ -1175,26 +1194,32 @@ impl Conn {
     }
 
     /// Builds and queues the summary trailer of a fully streamed batch.
+    /// Every cache counter is summed over this batch's own jobs, so
+    /// concurrent batches never count each other's activity.
     fn finish_batch(&mut self, ctx: &Ctx<'_>, streaming: Streaming) {
-        let mut stats = EngineStats::from_results(&streaming.results);
-        // Cache activity attributed to this batch; with concurrent
-        // connections the attribution is approximate (the counters
-        // are engine-wide), never the records.
-        let cache = ctx
-            .engine
-            .cache()
-            .map(|c| c.stats().since(streaming.cache_before))
-            .unwrap_or_default();
-        stats.quarantined = cache.corrupt as usize;
-        let report = BatchReport {
-            results: streaming.results,
-            stats,
-            cache,
-            wall: streaming.t0.elapsed(),
-            threads: ctx.engine.threads(),
-        };
+        let parsed: usize = streaming
+            .results
+            .iter()
+            .map(|r| r.cache.inputs_parsed)
+            .sum();
+        let reused: usize = streaming
+            .results
+            .iter()
+            .map(|r| r.cache.inputs_reused)
+            .sum();
+        let report = BatchReport::from_results(
+            streaming.results,
+            streaming.t0.elapsed(),
+            ctx.engine.threads(),
+        );
         let mut summary = report.summary_value();
         if let Value::Obj(members) = &mut summary {
+            // Parse-memo activity is a serve-only member of the cache
+            // block: `mmflow batch` loads through the plain loaders.
+            if let Some((_, Value::Obj(cache))) = members.iter_mut().find(|(k, _)| k == "cache") {
+                cache.push(("inputs_parsed".to_string(), Value::from(parsed)));
+                cache.push(("inputs_reused".to_string(), Value::from(reused)));
+            }
             members.push(("shards".to_string(), shard_stats_value(ctx.scheduler)));
         }
         self.queue_frame(&Frame::Summary { summary });
@@ -1210,7 +1235,13 @@ const MAX_JOB_ATTEMPTS: u32 = 8;
 /// Runs one job, converting panics into bounded retries. The `job_stall`
 /// and `worker_panic` fault points live here — compiled to no-ops when
 /// the registry is disarmed.
-fn execute_with_retries(engine: &Engine, job: &Job, counters: &Counters) -> JobResult {
+fn execute_with_retries(
+    engine: &Engine,
+    job: &Job,
+    plan: &Result<StagePlan, FlowError>,
+    inputs: JobCacheInfo,
+    counters: &Counters,
+) -> JobResult {
     if faultpoint::fire(faultpoint::JOB_STALL) {
         std::thread::sleep(faultpoint::stall_duration());
     }
@@ -1225,21 +1256,21 @@ fn execute_with_retries(engine: &Engine, job: &Job, counters: &Counters) -> JobR
             if faultpoint::fire(faultpoint::WORKER_PANIC) {
                 panic!("injected fault: worker panic");
             }
-            engine.execute_job(job)
+            engine.execute_plan(job, plan, inputs)
         }));
         match run {
             Ok(result) => return result,
             Err(panic) if attempts >= MAX_JOB_ATTEMPTS => {
                 return JobResult {
-                    name: job.name.clone(),
-                    flow: job.flow,
-                    outcome: Err(JobError::engine(format!(
-                        "job panicked ({attempts} attempts): {}",
-                        panic_message(panic.as_ref())
-                    ))),
-                    cache: JobCacheInfo::default(),
-                    duration: Duration::ZERO,
-                    stages: Vec::new(),
+                    cache: inputs,
+                    ..JobResult::failed(
+                        &job.name,
+                        job.flow,
+                        JobError::engine(format!(
+                            "job panicked ({attempts} attempts): {}",
+                            panic_message(panic.as_ref())
+                        )),
+                    )
                 }
             }
             Err(_) => {

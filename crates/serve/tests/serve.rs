@@ -2,6 +2,7 @@
 //! record byte-identity with the engine, failure isolation, cache
 //! sharing across connections, and graceful drain.
 
+use mm_engine::json::Value;
 use mm_engine::protocol::{classify, Frame, Request, ServerLine};
 use mm_engine::{load_spec, Engine, EngineOptions};
 use mm_flow::{FlowOptions, WidthChoice};
@@ -26,16 +27,51 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// Writes a directory-of-mode-groups spec and returns its path.
 fn write_spec_dir(root: &Path, groups: usize) -> PathBuf {
-    let dir = root.join("jobs");
+    write_groups(&root.join("jobs"), groups, 0)
+}
+
+/// Writes `groups` two-mode groups under `dir`; `salt` varies the
+/// circuits, so differently salted directories share no jobs.
+fn write_groups(dir: &Path, groups: usize, salt: u64) -> PathBuf {
     for g in 0..groups {
         let group = dir.join(format!("g{g}"));
         std::fs::create_dir_all(&group).unwrap();
         for m in 0..2 {
-            let c = small_circuit(&format!("m{m}"), 8 + g, 0x5eed_0000 + (g * 10 + m) as u64);
+            let seed = 0x5eed_0000 + (g * 10 + m) as u64 + salt * 1000;
+            let c = small_circuit(&format!("m{m}"), 8 + g, seed);
             std::fs::write(group.join(format!("m{m}.blif")), blif::to_blif(&c)).unwrap();
         }
     }
-    dir
+    dir.to_path_buf()
+}
+
+/// The records `mmflow batch` would print for `spec`.
+fn batch_records(spec: &str) -> Vec<String> {
+    let engine = Engine::new(EngineOptions {
+        threads: 1,
+        cache_dir: None,
+        ..Default::default()
+    })
+    .unwrap();
+    let batch = load_spec(spec, &test_options(), 4).unwrap();
+    engine
+        .run(batch.jobs)
+        .results
+        .iter()
+        .map(mm_engine::JobResult::to_json_line)
+        .collect()
+}
+
+/// One member of a summary frame's `cache` block.
+fn cache_member(frames: &[Frame], member: &str) -> usize {
+    let Some(Frame::Summary { summary }) = frames.last() else {
+        panic!("expected a summary, got {frames:?}");
+    };
+    summary
+        .get("cache")
+        .and_then(|c| c.get(member))
+        .and_then(|v| v.as_usize())
+        .unwrap_or_else(|| panic!("no cache.{member} in {summary:?}"))
 }
 
 /// The overrides every test batch uses (fast, deterministic).
@@ -66,8 +102,19 @@ struct RunningServer {
 
 impl RunningServer {
     fn start(root: &Path, options: ServeOptions) -> Self {
+        Self::start_with_memo(root, options, None)
+    }
+
+    /// [`RunningServer::start`] with an explicit engine memo capacity
+    /// (`None` keeps the server's default).
+    fn start_with_memo(root: &Path, options: ServeOptions, result_memo: Option<usize>) -> Self {
         let socket = root.join("mmflow.sock");
-        let server = Server::bind(&Listen::Unix(socket.clone()), &options).unwrap();
+        let listen = Listen::Unix(socket.clone());
+        let server = match result_memo {
+            None => Server::bind(&listen, &options),
+            Some(entries) => Server::bind_with_memo(&listen, &options, entries),
+        }
+        .unwrap();
         let handle = server.handle();
         let thread = std::thread::spawn(move || server.run());
         Self {
@@ -161,43 +208,197 @@ fn batch_records_are_byte_identical_to_the_engine() {
     let root = tmp_dir("bytes");
     let spec = write_spec_dir(&root, 3);
     let spec_str = spec.to_str().unwrap();
-
     // Reference: the engine run `mmflow batch` would perform.
-    let reference_engine = Engine::new(EngineOptions {
-        threads: 1,
-        cache_dir: None,
-        ..Default::default()
-    })
-    .unwrap();
-    let batch = load_spec(spec_str, &test_options(), 4).unwrap();
-    let expected: Vec<String> = reference_engine
-        .run(batch.jobs)
-        .results
-        .iter()
-        .map(mm_engine::JobResult::to_json_line)
-        .collect();
+    let expected = batch_records(spec_str);
 
-    let server = RunningServer::start(
-        &root,
-        ServeOptions {
-            threads: 2,
-            cache_dir: None,
-            max_connections: 4,
-            ..ServeOptions::default()
-        },
+    // The default server, and one without the result and parse memos.
+    for result_memo in [None, Some(0)] {
+        let server = RunningServer::start_with_memo(
+            &root,
+            ServeOptions {
+                threads: 2,
+                cache_dir: None,
+                max_connections: 4,
+                ..ServeOptions::default()
+            },
+            result_memo,
+        );
+        let mut stream = server.connect();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        // The second round is served warm from the memos, if any.
+        for round in 0..2 {
+            send(&mut stream, &Request::Batch(test_request(spec_str)));
+            let (records, frames) = read_exchange(&mut reader);
+            assert_eq!(frames[0], Frame::Accepted { jobs: 3 });
+            assert_eq!(
+                records, expected,
+                "serve records == batch records ({result_memo:?}, round {round})"
+            );
+            let Frame::Summary { summary } = &frames[1] else {
+                panic!("expected summary, got {frames:?}");
+            };
+            assert_eq!(summary.get("jobs").and_then(|v| v.as_usize()), Some(3));
+            assert_eq!(summary.get("ok").and_then(|v| v.as_usize()), Some(3));
+            let memoized = round == 1 && result_memo.is_none();
+            assert_eq!(
+                cache_member(&frames, "inputs_parsed"),
+                if memoized { 0 } else { 6 }
+            );
+            assert_eq!(
+                cache_member(&frames, "inputs_reused"),
+                if memoized { 6 } else { 0 }
+            );
+        }
+        server.stop();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn summary_frame_schema() {
+    let root = tmp_dir("schema");
+    let spec = write_spec_dir(&root, 1);
+    let server = RunningServer::start(&root, ServeOptions::default());
+    let mut stream = server.connect();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    send(
+        &mut stream,
+        &Request::Batch(test_request(spec.to_str().unwrap())),
     );
+    let (_, frames) = read_exchange(&mut reader);
+    let Some(Frame::Summary {
+        summary: Value::Obj(members),
+    }) = frames.last()
+    else {
+        panic!("expected a summary object, got {frames:?}");
+    };
+    let keys = |members: &[(String, Value)]| -> Vec<String> {
+        members.iter().map(|(k, _)| k.clone()).collect()
+    };
+    assert_eq!(
+        keys(members),
+        [
+            "jobs",
+            "ok",
+            "failed",
+            "threads",
+            "wall_ms",
+            "serial_estimate_ms",
+            "stage_time_ms",
+            "parallel_speedup",
+            "cache",
+            "shards"
+        ]
+    );
+    let Some((_, Value::Obj(cache))) = members.iter().find(|(k, _)| k == "cache") else {
+        panic!("cache block missing: {members:?}");
+    };
+    assert_eq!(
+        keys(cache),
+        [
+            "results_from_cache",
+            "placements_from_cache",
+            "stages_recomputed",
+            "stages_from_cache",
+            "hits",
+            "misses",
+            "writes",
+            "quarantined",
+            "inputs_parsed",
+            "inputs_reused"
+        ]
+    );
+    assert!(cache.iter().all(|(_, v)| v.as_u64().is_some()), "{cache:?}");
+    assert_eq!(cache_member(&frames, "inputs_parsed"), 2);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_blif_rewritten_in_place_is_parsed_again() {
+    let root = tmp_dir("rewrite");
+    let spec = write_spec_dir(&root, 2);
+    let spec_str = spec.to_str().unwrap();
+    let server = RunningServer::start(&root, ServeOptions::default());
     let mut stream = server.connect();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     send(&mut stream, &Request::Batch(test_request(spec_str)));
-    let (records, frames) = read_exchange(&mut reader);
+    let (before, _) = read_exchange(&mut reader);
+    assert_eq!(before, batch_records(spec_str));
 
-    assert_eq!(frames[0], Frame::Accepted { jobs: 3 });
-    assert_eq!(records, expected, "serve records == batch records");
-    let Frame::Summary { summary } = &frames[1] else {
-        panic!("expected summary, got {frames:?}");
-    };
-    assert_eq!(summary.get("jobs").and_then(|v| v.as_usize()), Some(3));
-    assert_eq!(summary.get("ok").and_then(|v| v.as_usize()), Some(3));
+    // Same path, new bytes: the memo is keyed by content, never by the
+    // path or mtime.
+    let changed = small_circuit("m0", 9, 0xc0ffee);
+    std::fs::write(spec.join("g1").join("m0.blif"), blif::to_blif(&changed)).unwrap();
+    send(&mut stream, &Request::Batch(test_request(spec_str)));
+    let (after, frames) = read_exchange(&mut reader);
+    assert_eq!(
+        after,
+        batch_records(spec_str),
+        "a fresh batch run on the new file"
+    );
+    assert_eq!(after[0], before[0]);
+    assert_ne!(after[1], before[1], "the rewrite changed the job's record");
+    assert_eq!(cache_member(&frames, "inputs_parsed"), 1);
+    assert_eq!(cache_member(&frames, "inputs_reused"), 3);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_warm_batch_reports_none_of_a_concurrent_cold_batchs_writes() {
+    let root = tmp_dir("counters");
+    let warm = write_groups(&root.join("warm"), 1, 1);
+    let cold = write_groups(&root.join("cold"), 3, 2);
+    // One worker: the cold batch's second job runs while the warm batch
+    // is admitted and finishes before the warm job can start.
+    let server = RunningServer::start(
+        &root,
+        ServeOptions {
+            threads: 1,
+            workers: 1,
+            cache_dir: Some(root.join("cache")),
+            ..ServeOptions::default()
+        },
+    );
+    let warm_request = Request::Batch(test_request(warm.to_str().unwrap()));
+    let mut stream = server.connect();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    send(&mut stream, &warm_request);
+    let (_, frames) = read_exchange(&mut reader);
+    assert!(
+        cache_member(&frames, "writes") > 0,
+        "the warm-up fills the cache"
+    );
+
+    let (first_record, first_record_seen) = std::sync::mpsc::channel();
+    let socket = server.socket.clone();
+    let cold_request = Request::Batch(test_request(cold.to_str().unwrap()));
+    let cold_client = std::thread::spawn(move || {
+        let mut stream = UnixStream::connect(socket).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        send_unix(&mut stream, &cold_request);
+        let mut line = String::new();
+        loop {
+            line.clear();
+            assert!(reader.read_line(&mut line).unwrap() > 0);
+            if let ServerLine::Record(_) = classify(line.trim_end()).unwrap() {
+                first_record.send(()).unwrap();
+                break;
+            }
+        }
+        read_exchange(&mut reader)
+    });
+    first_record_seen.recv().unwrap();
+    send(&mut stream, &warm_request);
+    let (_, warm_frames) = read_exchange(&mut reader);
+    let (cold_records, cold_frames) = cold_client.join().unwrap();
+
+    assert_eq!(cache_member(&warm_frames, "results_from_cache"), 1);
+    assert_eq!(cache_member(&warm_frames, "writes"), 0, "{warm_frames:?}");
+    assert_eq!(cache_member(&warm_frames, "misses"), 0, "{warm_frames:?}");
+    assert_eq!(cold_records.len(), 2, "the rest of the cold stream");
+    assert!(cache_member(&cold_frames, "writes") > 0, "{cold_frames:?}");
     server.stop();
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -575,20 +776,7 @@ fn concurrent_clients_all_get_reference_byte_streams() {
     let root = tmp_dir("storm");
     let spec = write_spec_dir(&root, 2);
     let spec_str = spec.to_str().unwrap().to_string();
-
-    let reference_engine = Engine::new(EngineOptions {
-        threads: 1,
-        cache_dir: None,
-        ..Default::default()
-    })
-    .unwrap();
-    let batch = load_spec(&spec_str, &test_options(), 4).unwrap();
-    let expected: Vec<String> = reference_engine
-        .run(batch.jobs)
-        .results
-        .iter()
-        .map(mm_engine::JobResult::to_json_line)
-        .collect();
+    let expected = batch_records(&spec_str);
 
     let server = RunningServer::start(
         &root,
