@@ -91,11 +91,32 @@ impl PerfConfig {
 /// runs route exactly the same problem.
 #[must_use]
 pub fn router_workload(config: &PerfConfig) -> (RoutingGraph, Vec<RouteNet>, RouterOptions) {
-    let (grid, width, net_count) = if config.smoke {
-        (8usize, 8usize, 24usize)
+    let (grid, net_count) = router_shape(config);
+    seeded_router_workload(grid, 8, net_count)
+}
+
+/// Grid side and net count of the router workload.
+fn router_shape(config: &PerfConfig) -> (usize, usize) {
+    if config.smoke {
+        (8, 24)
     } else {
-        (22, 8, 160)
-    };
+        (22, 160)
+    }
+}
+
+/// The channel width of the router bench's `congested` section: the
+/// router workload's nets on channels too narrow for them, so every run
+/// fails after `max_iterations` — the cost profile of a failing probe
+/// of the minimum-width search.
+const CONGESTED_WIDTH: usize = 1;
+
+/// The router workload's nets on a `grid`-sided fabric of channel
+/// `width`; the nets depend only on `grid` and `net_count`.
+fn seeded_router_workload(
+    grid: usize,
+    width: usize,
+    net_count: usize,
+) -> (RoutingGraph, Vec<RouteNet>, RouterOptions) {
     let modes = 2usize;
     let rrg = RoutingGraph::build(&Architecture::new(4, grid, width));
     let mut rng = StdRng::seed_from_u64(0xbe7c);
@@ -241,6 +262,46 @@ impl HighFanoutRun {
     }
 }
 
+/// The router bench's failing-probe section: the router workload at a
+/// channel width where every run fails after `max_iterations`.
+#[derive(Debug, Clone)]
+pub struct CongestedRun {
+    /// Channel width.
+    pub width: usize,
+    /// PathFinder iterations of the optimized run.
+    pub iterations: usize,
+    /// The router's iteration cap.
+    pub max_iterations: usize,
+    /// Best-of-reps wall-clock of one `route()` with the optimized
+    /// router, milliseconds.
+    pub optimized_ms: f64,
+    /// Wall-clock of one `route()` with the naive reference under the
+    /// same options (one run), milliseconds.
+    pub reference_ms: f64,
+    /// reference / optimized wall-clock.
+    pub speedup: f64,
+    /// Optimized and reference produced byte-identical routings.
+    pub parity_ok: bool,
+    /// The workload routed — must be false, or the section measures a
+    /// succeeding route instead of a failing probe.
+    pub routed: bool,
+}
+
+impl CongestedRun {
+    fn to_value(&self) -> mm_engine::json::Value {
+        ObjBuilder::new()
+            .field("width", self.width)
+            .field("iterations", self.iterations)
+            .field("max_iterations", self.max_iterations)
+            .field("optimized_ms", round2(self.optimized_ms))
+            .field("reference_ms", round2(self.reference_ms))
+            .field("speedup", round2(self.speedup))
+            .field("parity_ok", self.parity_ok)
+            .field("routed", self.routed)
+            .build()
+    }
+}
+
 /// The router benchmark report.
 #[derive(Debug, Clone)]
 pub struct RouterPerf {
@@ -275,6 +336,8 @@ pub struct RouterPerf {
     /// The high-fanout sweep: Steiner decomposition off vs on per
     /// fanout, each parity-gated against the reference.
     pub high_fanout: Vec<HighFanoutRun>,
+    /// The same nets where every run fails after `max_iterations`.
+    pub congested: CongestedRun,
 }
 
 impl RouterPerf {
@@ -307,6 +370,7 @@ impl RouterPerf {
                     .map(HighFanoutRun::to_value)
                     .collect::<Vec<_>>(),
             )
+            .field("congested", self.congested.to_value())
             .build()
             .to_json()
     }
@@ -377,14 +441,8 @@ pub fn router_perf(config: &PerfConfig) -> RouterPerf {
     }
     let optimized_no_bbox_ms = t0.elapsed().as_secs_f64() * 1000.0 / reps as f64;
 
-    let (grid, width) = {
-        // Recover the workload shape for the report.
-        if config.smoke {
-            (8, 8)
-        } else {
-            (22, 8)
-        }
-    };
+    let (grid, _) = router_shape(config);
+    let width = rrg.arch().channel_width;
     let fanouts: &[usize] = if config.smoke {
         &[32, 64]
     } else {
@@ -413,6 +471,38 @@ pub fn router_perf(config: &PerfConfig) -> RouterPerf {
         parity_ok,
         routed: optimized_result.success,
         high_fanout,
+        congested: congested_run(config, reps),
+    }
+}
+
+/// Measures the `congested` section: the router workload's nets at
+/// [`CONGESTED_WIDTH`], optimized (best of `reps`, one router reused)
+/// against one naive-reference run, parity-checked.
+fn congested_run(config: &PerfConfig, reps: usize) -> CongestedRun {
+    let (grid, net_count) = router_shape(config);
+    let (rrg, nets, options) = seeded_router_workload(grid, CONGESTED_WIDTH, net_count);
+    let mut router = Router::new(&rrg, options);
+    let optimized = router.route(&nets);
+    let optimized_ms = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            let r = router.route(&nets);
+            std::hint::black_box(r.success);
+            t0.elapsed().as_secs_f64() * 1000.0
+        })
+        .fold(f64::INFINITY, f64::min);
+    let t0 = Instant::now();
+    let reference = route_reference(&rrg, options, &nets);
+    let reference_ms = t0.elapsed().as_secs_f64() * 1000.0;
+    CongestedRun {
+        width: CONGESTED_WIDTH,
+        iterations: optimized.iterations,
+        max_iterations: options.max_iterations,
+        optimized_ms,
+        reference_ms,
+        speedup: reference_ms / optimized_ms.max(1e-9),
+        parity_ok: routings_identical(&optimized, &reference),
+        routed: optimized.success,
     }
 }
 
@@ -1935,6 +2025,10 @@ mod tests {
         });
         assert!(perf.routed, "workload must route");
         assert!(perf.parity_ok, "optimized must match the reference");
+        let c = &perf.congested;
+        assert!(c.parity_ok, "failing routes must match the reference");
+        assert!(!c.routed, "the congested section must fail");
+        assert_eq!(c.iterations, c.max_iterations, "every iteration must run");
         assert!(perf.baseline_ms > 0.0 && perf.optimized_ms > 0.0);
         let json = perf.to_json();
         assert!(json.contains("\"speedup\""), "{json}");

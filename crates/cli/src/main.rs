@@ -202,7 +202,7 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
                 options.cost = parse_cost(v)?;
             }
             "--width" => {
-                options.flow.width = WidthChoice::Fixed(next_value(&mut it, "--width")?.parse()?);
+                options.flow.width = WidthChoice::Fixed(parse_width(&mut it, "--width")?);
             }
             "--seed" => options.flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
             "--effort" => {
@@ -216,6 +216,16 @@ fn parse_common(args: &[String]) -> Result<CommonOptions, Box<dyn Error>> {
         }
     }
     Ok(options)
+}
+
+/// Parses the value of a channel-width flag: a positive integer (a
+/// zero-track channel has nothing to route on).
+fn parse_width(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, Box<dyn Error>> {
+    let width: usize = next_value(it, flag)?.parse()?;
+    if width == 0 {
+        return Err(format!("{flag} must be positive").into());
+    }
+    Ok(width)
 }
 
 fn next_value<'a>(
@@ -362,7 +372,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--jobs" => max_jobs = next_value(&mut it, "--jobs")?.parse()?,
             "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
             "--width" => {
-                flow.width = WidthChoice::Fixed(next_value(&mut it, "--width")?.parse()?);
+                flow.width = WidthChoice::Fixed(parse_width(&mut it, "--width")?);
             }
             "--seed" => flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
             "--effort" => flow.placer.inner_num = next_value(&mut it, "--effort")?.parse()?,
@@ -465,7 +475,7 @@ fn cmd_pareto(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--jobs" => max_jobs = next_value(&mut it, "--jobs")?.parse()?,
             "--out" => out_path = Some(next_value(&mut it, "--out")?.clone()),
             "--width" => {
-                flow.width = WidthChoice::Fixed(next_value(&mut it, "--width")?.parse()?);
+                flow.width = WidthChoice::Fixed(parse_width(&mut it, "--width")?);
             }
             "--seed" => flow.placer.seed = next_value(&mut it, "--seed")?.parse()?,
             "--effort" => flow.placer.inner_num = next_value(&mut it, "--effort")?.parse()?,
@@ -688,12 +698,12 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--priority" => priority = Some(next_value(&mut it, "--priority")?.parse()?),
             "--emit-stage-times" => emit_stage_times = true,
             "--seed" => seed = Some(next_value(&mut it, "--seed")?.parse()?),
-            "--width" => width = Some(next_value(&mut it, "--width")?.parse()?),
+            "--width" => width = Some(parse_width(&mut it, "--width")?),
             "--effort" => effort = Some(next_value(&mut it, "--effort")?.parse()?),
             "--max-iterations" => {
                 max_iterations = Some(next_value(&mut it, "--max-iterations")?.parse()?);
             }
-            "--max-width" => max_width = Some(next_value(&mut it, "--max-width")?.parse()?),
+            "--max-width" => max_width = Some(parse_width(&mut it, "--max-width")?),
             "--steiner-fanout" => {
                 steiner_fanout = Some(next_value(&mut it, "--steiner-fanout")?.parse()?);
             }
@@ -851,8 +861,25 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
         if !router.parity_ok || !router.routed {
             return Err("router benchmark failed its parity/routability sanity checks".into());
         }
+        let c = &router.congested;
+        eprintln!(
+            "  router[congested W={}]: reference {:.2} ms, optimized {:.2} ms → {:.2}x \
+             ({}/{} iterations, parity {})",
+            c.width,
+            c.reference_ms,
+            c.optimized_ms,
+            c.speedup,
+            c.iterations,
+            c.max_iterations,
+            if c.parity_ok { "ok" } else { "FAILED" },
+        );
         if router.high_fanout.iter().any(|h| !h.parity_ok || !h.routed) {
             return Err("high-fanout benchmark failed its parity/routability sanity checks".into());
+        }
+        if !c.parity_ok || c.routed || c.iterations != c.max_iterations {
+            return Err(
+                "congested router benchmark failed its parity/failing-probe sanity checks".into(),
+            );
         }
         write_json("BENCH_router.json", router.to_json())?;
     }

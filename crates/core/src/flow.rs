@@ -196,6 +196,26 @@ impl FlowOptions {
         )
     }
 
+    /// Checks the options a job can set from outside the program: a
+    /// fixed `width` and `max_width` must be positive (a zero-track
+    /// channel has nothing to route on), and the router options must
+    /// pass [`RouterOptions::validate`] — the router's search relies on
+    /// that, so e.g. a `max_iterations` whose present-cost factor would
+    /// overflow is rejected here instead of corrupting the search.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first invalid option.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.width == WidthChoice::Fixed(0) {
+            return Err("\"width\" must be positive".to_string());
+        }
+        if self.max_width == 0 {
+            return Err("\"max_width\" must be positive".to_string());
+        }
+        self.router.validate()
+    }
+
     /// The base architecture (before width resolution) for an input.
     #[must_use]
     pub fn base_arch(&self, input: &MultiModeInput) -> Architecture {

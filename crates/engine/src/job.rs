@@ -147,6 +147,7 @@ impl Job {
     /// do not form a valid multi-mode input (plans only exist for
     /// validated inputs).
     pub fn compile(&self) -> Result<StagePlan, mm_flow::FlowError> {
+        self.options.validate().map_err(mm_flow::FlowError::Input)?;
         let input = MultiModeInput::new(self.circuits.clone())?;
         Ok(match self.flow {
             FlowKind::Dcs(cost) => mm_flow::stage::dcs_plan(input, self.options, cost),
@@ -982,6 +983,7 @@ fn parse_job(
             .as_usize()
             .ok_or("\"steiner_fanout\" must be an integer")?;
     }
+    options.validate()?;
     Ok(Job {
         name,
         circuits,
@@ -1265,6 +1267,66 @@ mod tests {
         assert_eq!(batch.jobs[1].options.placer.seed, 99);
         assert_eq!(batch.jobs[2].flow, FlowKind::Dcs(CostKind::EdgeMatching));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A zero `width` or `max_width` (which would panic the fabric
+    /// builder) and a `max_iterations` whose present-cost factor
+    /// overflows are refused when the spec is parsed, naming the job.
+    #[test]
+    fn spec_rejects_zero_widths_and_runaway_iterations() {
+        let dir = std::env::temp_dir().join(format!("mm_engine_zero_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["a", "b"] {
+            std::fs::write(dir.join(format!("{name}.blif")), blif::to_blif(&tiny(name))).unwrap();
+        }
+        let spec_path = dir.join("suite.json");
+        for (member, needle) in [
+            (r#""width": 0"#, "\"width\" must be positive"),
+            (r#""max_width": 0"#, "\"max_width\" must be positive"),
+            (r#""max_iterations": 100000"#, "max_iterations 100000"),
+        ] {
+            for (defaults, job) in [("", member), (member, "")] {
+                let job = if job.is_empty() {
+                    String::new()
+                } else {
+                    format!(", {job}")
+                };
+                std::fs::write(
+                    &spec_path,
+                    format!(
+                        r#"{{"defaults": {{{defaults}}},
+                            "jobs": [{{"modes": ["a.blif", "b.blif"]{job}}}]}}"#
+                    ),
+                )
+                .unwrap();
+                let err = load_spec(spec_path.to_str().unwrap(), &FlowOptions::default(), 4)
+                    .expect_err(member);
+                assert!(
+                    err.contains("job 0") && err.contains(needle),
+                    "{member}: {err}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job built in code with an invalid option compiles to a
+    /// structured input error instead of panicking in the flow.
+    #[test]
+    fn invalid_options_fail_compilation_as_input_errors() {
+        let job = Job {
+            name: "zero".to_string(),
+            circuits: vec![tiny("m0"), tiny("m1")],
+            flow: FlowKind::Dcs(CostKind::WireLength),
+            options: FlowOptions::default().with_fixed_width(0),
+        };
+        let err = job.compile().expect_err("width 0 must not compile");
+        assert_eq!(JobError::from_flow(&err).stage, "input");
+        assert!(
+            err.to_string().contains("\"width\" must be positive"),
+            "{err}"
+        );
     }
 
     #[test]

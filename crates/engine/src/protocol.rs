@@ -142,6 +142,18 @@ impl BatchRequest {
         }
         options
     }
+
+    /// Checks the overrides against the default flow options
+    /// ([`FlowOptions::validate`]): a zero `width` or `max_width`, or a
+    /// `max_iterations` the router's cost schedule cannot run, is
+    /// refused before any job is built.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first invalid override.
+    pub fn validate(&self) -> Result<(), String> {
+        self.flow_options(&FlowOptions::default()).validate()
+    }
 }
 
 /// One client → server frame.
@@ -215,7 +227,8 @@ impl Request {
     /// # Errors
     ///
     /// Fails with a description on malformed JSON, a missing/unknown
-    /// `cmd`, or invalid member types — the server turns that into an
+    /// `cmd`, invalid member types, or batch overrides
+    /// [`BatchRequest::validate`] refuses — the server turns that into an
     /// `error` frame, never a dropped connection.
     pub fn parse(line: &str) -> Result<Self, String> {
         let v = json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
@@ -264,6 +277,7 @@ impl Request {
                         .as_bool()
                         .ok_or("\"emit_stage_times\" must be a boolean")?;
                 }
+                request.validate()?;
                 Ok(Request::Batch(request))
             }
             other => Err(format!("unknown cmd '{other}' (batch|ping|shutdown)")),
@@ -550,6 +564,26 @@ mod tests {
             Request::parse(r#"{"cmd":"batch","spec":"s","priority":10}"#).is_err(),
             "priorities are capped at MAX_PRIORITY"
         );
+    }
+
+    /// Overrides the fabric builder or the router's search cannot run
+    /// are refused when the request is decoded, before any job exists.
+    #[test]
+    fn zero_widths_and_runaway_iterations_are_refused() {
+        for (member, needle) in [
+            (r#""width":0"#, "\"width\" must be positive"),
+            (r#""max_width":0"#, "\"max_width\" must be positive"),
+            (r#""max_iterations":100000"#, "max_iterations 100000"),
+        ] {
+            let line = format!(r#"{{"cmd":"batch","spec":"s",{member}}}"#);
+            let err = Request::parse(&line).expect_err(member);
+            assert!(err.contains(needle), "{member}: {err}");
+        }
+        let mut ok = BatchRequest::new("s");
+        ok.width = Some(1);
+        ok.max_width = Some(1);
+        ok.max_iterations = Some(300);
+        assert!(Request::parse(&Request::Batch(ok).to_json_line()).is_ok());
     }
 
     #[test]

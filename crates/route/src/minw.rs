@@ -5,18 +5,27 @@
 //! found the way VPR does it: route the design repeatedly while binary
 //! searching the channel width.
 
-use crate::{RouteNet, Router, RouterOptions, Routing};
+use crate::{RouteNet, Router, RouterOptions};
 use mm_arch::{Architecture, RoutingGraph};
 
+/// One routing attempt of the width search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WidthProbe {
+    /// The channel width tried.
+    pub width: usize,
+    /// Whether the nets routed at that width.
+    pub success: bool,
+    /// PathFinder iterations the attempt ran.
+    pub iterations: usize,
+}
+
 /// Result of the minimum-channel-width search.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinWidthResult {
     /// The smallest channel width that routed successfully.
     pub min_width: usize,
-    /// The routing obtained at `min_width`.
-    pub routing: Routing,
-    /// The RRG at `min_width`.
-    pub rrg: RoutingGraph,
+    /// Every probe, in the order the search ran them.
+    pub probes: Vec<WidthProbe>,
 }
 
 /// Finds the minimum channel width for which `nets(rrg)` routes on `arch`,
@@ -25,31 +34,46 @@ pub struct MinWidthResult {
 /// The net list must be rebuilt per width because RRG node ids change;
 /// `nets` receives each candidate graph.
 ///
-/// Returns `None` if even `max_width` fails.
+/// Returns `None` if even `max_width` fails (or `max_width` is 0).
 pub fn min_channel_width(
     arch: &Architecture,
     options: &RouterOptions,
     max_width: usize,
     mut nets: impl FnMut(&RoutingGraph) -> Vec<RouteNet>,
 ) -> Option<MinWidthResult> {
-    let try_width = |w: usize, nets: &mut dyn FnMut(&RoutingGraph) -> Vec<RouteNet>| {
-        let rrg = RoutingGraph::build(&arch.with_channel_width(w));
-        let net_list = nets(&rrg);
-        let mut router = Router::new(&rrg, *options);
-        let routing = router.route(&net_list);
-        (rrg, routing)
+    search_widths(max_width, |width| {
+        let rrg = RoutingGraph::build(&arch.with_channel_width(width));
+        let routing = Router::new(&rrg, *options).route(&nets(&rrg));
+        WidthProbe {
+            width,
+            success: routing.success,
+            iterations: routing.iterations,
+        }
+    })
+}
+
+/// The probe schedule of [`min_channel_width`] over any routing attempt:
+/// double upwards from 4 until a width routes, then binary search between
+/// the last failing and the first routing width (width 1 is presumed to
+/// fail).
+fn search_widths(
+    max_width: usize,
+    mut probe: impl FnMut(usize) -> WidthProbe,
+) -> Option<MinWidthResult> {
+    if max_width == 0 {
+        return None;
+    }
+    let mut probes = Vec::new();
+    let mut routes = |width: usize| {
+        let p = probe(width);
+        probes.push(p);
+        p.success
     };
 
     // Exponential probe upwards from 4.
-    let mut lo = 1usize; // highest known-failing width (0 = unknown)
+    let mut lo = 1usize; // highest width presumed or known to fail
     let mut hi = 4usize.min(max_width);
-    let best: (usize, RoutingGraph, Routing);
-    loop {
-        let (rrg, routing) = try_width(hi, &mut nets);
-        if routing.success {
-            best = (hi, rrg, routing);
-            break;
-        }
+    while !routes(hi) {
         lo = hi;
         if hi >= max_width {
             return None;
@@ -58,25 +82,18 @@ pub fn min_channel_width(
     }
 
     // Binary search in (lo, hi).
-    let (mut best_w, mut best_rrg, mut best_routing) = best;
-    let mut high = best_w;
-    while high - lo > 1 {
-        let mid = (lo + high) / 2;
-        let (rrg, routing) = try_width(mid, &mut nets);
-        if routing.success {
-            high = mid;
-            best_w = mid;
-            best_rrg = rrg;
-            best_routing = routing;
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if routes(mid) {
+            hi = mid;
         } else {
             lo = mid;
         }
     }
 
     Some(MinWidthResult {
-        min_width: best_w,
-        routing: best_routing,
-        rrg: best_rrg,
+        min_width: hi,
+        probes,
     })
 }
 
@@ -89,6 +106,7 @@ pub fn relaxed_width(min_width: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::route_reference;
     use crate::RouteSink;
     use mm_arch::Site;
     use mm_boolexpr::ModeSet;
@@ -126,7 +144,12 @@ mod tests {
             ..RouterOptions::default()
         };
         let result = min_channel_width(&arch, &options, 64, traffic).expect("routable");
-        assert!(result.routing.success);
+        let last_success = result
+            .probes
+            .iter()
+            .rfind(|p| p.success)
+            .expect("a width routed");
+        assert_eq!(last_success.width, result.min_width);
         assert!(result.min_width >= 2, "crossing traffic needs width ≥ 2");
 
         // One less must fail (that is what "minimum" means).
@@ -173,6 +196,46 @@ mod tests {
         if let Some(r) = result {
             assert_eq!(r.min_width, 1);
         }
+    }
+
+    /// The probe log — widths, outcomes and iteration counts — is the
+    /// one the same schedule produces with the naive reference router.
+    #[test]
+    fn probe_log_matches_the_reference_router() {
+        let arch = Architecture::new(4, 5, 1);
+        let options = RouterOptions {
+            max_iterations: 12,
+            ..RouterOptions::default()
+        };
+        let result = min_channel_width(&arch, &options, 64, traffic).expect("routable");
+        let reference = search_widths(64, |width| {
+            let rrg = RoutingGraph::build(&arch.with_channel_width(width));
+            let routing = route_reference(&rrg, options, &traffic(&rrg));
+            WidthProbe {
+                width,
+                success: routing.success,
+                iterations: routing.iterations,
+            }
+        })
+        .expect("routable");
+        assert_eq!(result, reference);
+        assert!(
+            result
+                .probes
+                .iter()
+                .any(|p| !p.success && p.iterations == options.max_iterations),
+            "the log must hold a probe that failed after every iteration: {:?}",
+            result.probes
+        );
+    }
+
+    #[test]
+    fn zero_max_width_finds_nothing() {
+        let arch = Architecture::new(4, 3, 1);
+        assert_eq!(
+            min_channel_width(&arch, &RouterOptions::default(), 0, traffic),
+            None
+        );
     }
 
     #[test]

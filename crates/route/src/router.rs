@@ -30,9 +30,38 @@
 //!   on unreachable sinks, then on persistent congestion — until it
 //!   covers the fabric, so pruning never costs routability.
 //!
+//! The A* relaxation loop of the search (`Router::search`) is the whole
+//! cost of a failing minimum-width probe, which runs every PathFinder
+//! iteration. Each of its techniques leaves every result bit for bit
+//! unchanged, for the reason given:
+//!
+//! * **Integer heap key.** Entries are ordered by (`f.to_bits()`, node).
+//!   For finite `f >= +0.0` the IEEE bit pattern orders exactly as
+//!   `partial_cmp` does ([`RouterOptions::validate`] guarantees such
+//!   keys); entries tying on key and node are stale duplicates.
+//! * **Cached accumulated cost.** Each node keeps
+//!   `acc = base_cost(kind) * (1 + history)`, refreshed where history
+//!   changes, so its congestion cost is `acc * pres`: the same product
+//!   as before, in the same order.
+//! * **One prune gate.** One per-node value replaces the node-kind match
+//!   and the IPIN→SINK lookup: a sink stores its id, an IPIN its sink's
+//!   id, a source "never", anything else "always" — the same predicate.
+//! * **Sound rejection.** Under criticality 0.0 an edge into an already
+//!   reached node is skipped if `g + acc * share_min + 1e-12 >= dist`,
+//!   before the occupancy and switch reads: `pres >= 1`, every sharing
+//!   factor is `>= share_min`, and IEEE `*`/`+` are monotone on
+//!   non-negative operands, so the full cost would be rejected too.
+//! * **Tabulated sharing factor.** The TRoute-style edge factor depends
+//!   on five predicates of the switch's activation; they index a table
+//!   computed once per router from the same rule.
+//! * **One search record per node.** The stamped distance, cached cost,
+//!   gate, coordinates and capacity share one 32-byte record, so a
+//!   relaxation reads one cache line; moving fields changes no value.
+//!
 //! The naive, allocation-per-net formulation of the same algorithm lives
 //! in [`crate::reference`]; the two are kept byte-identical by the
-//! differential property tests in `tests/parity.rs`.
+//! differential property tests in `tests/parity.rs`, including
+//! over-subscribed fabrics where every iteration runs.
 
 use mm_arch::{RoutingGraph, RrKind, RrNodeId, SwitchId};
 use mm_boolexpr::{ModeSet, ModeSpace};
@@ -203,7 +232,77 @@ impl RouterOptions {
             self.steiner_fanout,
         )
     }
+
+    /// Checks the preconditions of the router's search, which orders its
+    /// heap by the bit pattern of finite, non-negative costs:
+    ///
+    /// * `mode_count` is positive;
+    /// * every cost option is finite and non-negative (`-0.0` included
+    ///   in the rejection: its bits do not order like `+0.0`'s), and
+    ///   `share_discount` is at most 1, so no edge factor is negative;
+    /// * the present-congestion factor, from `pres_fac_first` to
+    ///   `pres_fac_first · pres_fac_mult^max_iterations`, stays at most
+    ///   1e100, and the history a node can gather in
+    ///   `max_iterations` stays below `f32::MAX`, so every path cost the
+    ///   search sums stays finite.
+    ///
+    /// [`Router::new`] panics on options this rejects; the batch engine
+    /// rejects them at parse time with this message.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated precondition.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.mode_count == 0 {
+            return Err("mode_count must be positive".to_string());
+        }
+        for (name, value) in [
+            ("pres_fac_first", self.pres_fac_first),
+            ("pres_fac_mult", self.pres_fac_mult),
+            ("history_cost", self.history_cost),
+            ("astar_fac", self.astar_fac),
+            ("share_discount", self.share_discount),
+            ("param_penalty", self.param_penalty),
+        ] {
+            if !(value.is_finite() && value.is_sign_positive()) {
+                return Err(format!(
+                    "{name} must be finite and non-negative, got {value}"
+                ));
+            }
+        }
+        if self.share_discount > 1.0 {
+            return Err(format!(
+                "share_discount must be at most 1, got {}",
+                self.share_discount
+            ));
+        }
+        // The factor starts at `pres_fac_first` and moves monotonically,
+        // so its largest value is at one end of the schedule (`max`
+        // drops the NaN of `0 * inf`).
+        let iterations = self.max_iterations as f64;
+        let last = self.pres_fac_first * self.pres_fac_mult.powf(iterations);
+        if self.pres_fac_first.max(last) > MAX_PRES_FAC {
+            return Err(format!(
+                "max_iterations {} grows the present-cost factor {} * {}^{} past {MAX_PRES_FAC:e}",
+                self.max_iterations, self.pres_fac_first, self.pres_fac_mult, self.max_iterations
+            ));
+        }
+        let history = self.history_cost * f64::from(u16::MAX) * iterations;
+        if history >= f64::from(f32::MAX) {
+            return Err(format!(
+                "max_iterations {} with history_cost {} can overflow the history cost",
+                self.max_iterations, self.history_cost
+            ));
+        }
+        Ok(())
+    }
 }
+
+/// The largest present-congestion factor [`RouterOptions::validate`]
+/// admits. It leaves room for an overuse of up to `u16::MAX`, an `f32`
+/// history and a path of up to `u32::MAX` nodes before any search cost
+/// could overflow `f64`.
+const MAX_PRES_FAC: f64 = 1e100;
 
 /// Upper clamp on per-sink routing criticalities: even the most critical
 /// connection keeps a sliver of congestion sensitivity, so negotiation
@@ -374,7 +473,10 @@ impl Occupancy {
     }
 }
 
-/// Min-heap entry for the A* search.
+/// Min-heap entry of the naive reference search ([`crate::reference`]),
+/// ordered by `partial_cmp` on `f`. [`Router`] uses the integer-keyed
+/// [`SearchEntry`] instead; the two orders agree on every key the search
+/// can produce (finite, non-negative `f`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct HeapEntry {
     /// Estimated total cost (g + h).
@@ -402,6 +504,143 @@ impl PartialOrd for HeapEntry {
         Some(self.cmp(other))
     }
 }
+
+/// Min-heap entry of [`Router`]'s search, ordered by the integer pair
+/// (`f.to_bits()`, node): smallest `f` first, ties to the larger node id.
+/// For finite `f >= +0.0` the IEEE bit pattern orders exactly as
+/// `partial_cmp` does, so the pop sequence is the one [`HeapEntry`]
+/// gives — two integer compares instead of a float compare plus an
+/// `Option` unwrap. Entries that tie on both key and node are stale
+/// duplicates of one node, so the order between them changes nothing.
+#[derive(Debug, Clone, Copy)]
+struct SearchEntry {
+    /// `f.to_bits()` of the estimated total cost (g + h).
+    key: u64,
+    node: u32,
+    /// Cost to come.
+    g: f64,
+}
+
+impl SearchEntry {
+    #[inline]
+    fn new(f: f64, g: f64, node: u32) -> Self {
+        debug_assert!(
+            f.is_finite() && f.is_sign_positive(),
+            "A* key must be finite and non-negative, got {f}"
+        );
+        Self {
+            key: f.to_bits(),
+            node,
+            g,
+        }
+    }
+}
+
+impl PartialEq for SearchEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key && self.node == other.node
+    }
+}
+
+impl Eq for SearchEntry {}
+
+impl Ord for SearchEntry {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse order: BinaryHeap is a max-heap, we need the smallest f.
+        other
+            .key
+            .cmp(&self.key)
+            .then_with(|| self.node.cmp(&other.node))
+    }
+}
+
+impl PartialOrd for SearchEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The five predicates the sharing-aware edge factor depends on, packed
+/// into an index of [`share_factor_table`]: whether the switch's current
+/// activation `cur` is never or always active, whether `cur | act` is
+/// never or always active, and whether `act ⊆ cur` (`all` is the mask of
+/// every mode). Branch-free, so the factor is one table read per edge.
+#[inline]
+fn share_class(cur: u64, act: u64, all: u64) -> usize {
+    let after = cur | act;
+    usize::from(cur == 0)
+        | usize::from(cur & all == all) << 1
+        | usize::from(after == 0) << 2
+        | usize::from(after & all == all) << 3
+        | usize::from(act & !cur == 0) << 4
+}
+
+/// The sharing-aware edge factor of every [`share_class`] under
+/// `options` (TRoute-style): a switch that becomes parameterized by the
+/// connection costs `1 + param_penalty`, one that stops being
+/// parameterized costs `1 - share_discount`, and re-using an already
+/// parameterized switch in covered modes `1 - share_discount / 2`. With
+/// one mode, or with both options 0, every factor is 1.
+fn share_factor_table(options: &RouterOptions) -> [f64; 32] {
+    let mut table = [1.0; 32];
+    if options.mode_count == 1 || (options.share_discount == 0.0 && options.param_penalty == 0.0) {
+        return table;
+    }
+    for (class, factor) in table.iter_mut().enumerate() {
+        let bit = |b: usize| class >> b & 1 == 1;
+        let (cur_never, cur_always, after_never, after_always, covered) =
+            (bit(0), bit(1), bit(2), bit(3), bit(4));
+        let before_param = !cur_never && !cur_always;
+        let after_param = !after_never && !after_always;
+        *factor = if after_param && !before_param && cur_never {
+            1.0 + options.param_penalty
+        } else if before_param && !after_param {
+            1.0 - options.share_discount
+        } else if before_param && covered {
+            // Re-using an already-parameterized switch in covered modes
+            // costs nothing extra — mildly encourage convergence.
+            1.0 - options.share_discount * 0.5
+        } else {
+            1.0
+        };
+    }
+    table
+}
+
+/// [`Router`]'s per-node prune gate value for nodes every search may
+/// expand through (wires and OPINs).
+const GATE_ALWAYS: u32 = u32::MAX;
+/// Prune gate value for nodes no search expands through (sources, and
+/// IPINs that feed no sink).
+const GATE_NEVER: u32 = u32::MAX - 1;
+
+/// The per-node state [`Router`]'s search reads on every relaxation,
+/// packed into one 32-byte record so a relaxation touches one cache line
+/// instead of one line in each of several per-node arrays.
+#[derive(Debug, Clone, Copy)]
+struct SearchNode {
+    /// Best cost-to-come of the search stamped `gen`.
+    dist: f64,
+    /// Accumulated cost `base_cost(kind) * (1 + history)`, refreshed
+    /// wherever the node's history changes, so the node's congestion
+    /// cost is one product `acc * pres` with the same value as before.
+    acc: f64,
+    /// The search generation `dist` belongs to.
+    gen: u32,
+    /// Prune gate, one read per edge: a `SINK` stores its own id, an
+    /// `IPIN` the id of the `SINK` it feeds (an `IPIN` that feeds none
+    /// and a `SOURCE` store [`GATE_NEVER`]), every other node
+    /// [`GATE_ALWAYS`]. A node is expanded only if its gate is
+    /// [`GATE_ALWAYS`] or the search target.
+    gate: u32,
+    /// Grid coordinates and capacity, copied from the RRG.
+    x: u16,
+    y: u16,
+    capacity: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<SearchNode>() == 32);
 
 /// A net's expansion bounding box (inclusive, grid coordinates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -666,22 +905,24 @@ pub struct Router<'a> {
     switch_act: Vec<ModeSet>,
     history: Vec<f32>,
     pres_fac: f64,
+    /// [`share_factor_table`] of the options.
+    share_table: [f64; 32],
+    /// The smallest factor [`Router::share_factor`] can return under the
+    /// options — the lower bound of the search's rejection test.
+    share_min: f64,
     /// Fabric extent for bounding-box clamping.
     max_x: u16,
     max_y: u16,
-    /// For every `IPIN` node, the index of the `SINK` it feeds
-    /// (`u32::MAX` elsewhere) — precomputed so the search's IPIN pruning
-    /// is one array read instead of an edge-list lookup.
-    ipin_sink: Vec<u32>,
     // ---- scratch arena (generation-stamped, reused across nets) ----
-    /// Per-search best cost-to-come, valid when `gen` matches.
-    dist: Vec<f64>,
-    /// Per-search predecessor (node, switch), valid when `gen` matches.
+    /// Per-node search state: stamped best cost-to-come plus the cost
+    /// and geometry every relaxation reads.
+    nodes: Vec<SearchNode>,
+    /// Per-search predecessor (node, switch), valid when the node's
+    /// `gen` matches.
     prev: Vec<(u32, Option<SwitchId>)>,
-    gen: Vec<u32>,
     generation: u32,
     /// Reused A* heap storage.
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<SearchEntry>,
     /// Reused back-walk path buffer (node, switch-from-previous).
     path: Vec<(u32, Option<SwitchId>)>,
     /// Reused farthest-first sink-order buffer.
@@ -745,24 +986,45 @@ impl<'a> Router<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `options.mode_count` is 0.
+    /// Panics if [`RouterOptions::validate`] rejects `options` (e.g.
+    /// `mode_count` is 0 or a cost option is negative or non-finite).
     #[must_use]
     pub fn new(rrg: &'a RoutingGraph, options: RouterOptions) -> Self {
-        assert!(options.mode_count >= 1, "mode_count must be positive");
-        let n = rrg.node_count();
-        let (mut max_x, mut max_y) = (0u16, 0u16);
-        let mut ipin_sink = vec![u32::MAX; n];
-        for (i, sink) in ipin_sink.iter_mut().enumerate() {
-            let id = RrNodeId::from_index(i as u32);
-            let node = rrg.node(id);
-            max_x = max_x.max(node.x);
-            max_y = max_y.max(node.y);
-            if node.kind == RrKind::Ipin {
-                if let Some(edge) = rrg.edges(id).first() {
-                    *sink = edge.to.index() as u32;
-                }
-            }
+        if let Err(e) = options.validate() {
+            panic!("invalid router options: {e}");
         }
+        let n = rrg.node_count();
+        assert!(n < GATE_NEVER as usize, "RRG too large for u32 node ids");
+        let (mut max_x, mut max_y) = (0u16, 0u16);
+        let nodes: Vec<SearchNode> = (0..n)
+            .map(|i| {
+                let id = RrNodeId::from_index(i as u32);
+                let node = rrg.node(id);
+                max_x = max_x.max(node.x);
+                max_y = max_y.max(node.y);
+                let gate = match node.kind {
+                    RrKind::Sink => i as u32,
+                    RrKind::Ipin => rrg
+                        .edges(id)
+                        .first()
+                        .map_or(GATE_NEVER, |edge| edge.to.index() as u32),
+                    RrKind::Source => GATE_NEVER,
+                    RrKind::ChanX | RrKind::ChanY | RrKind::Opin => GATE_ALWAYS,
+                };
+                SearchNode {
+                    dist: 0.0,
+                    acc: Self::accumulated_cost(node.kind, 0.0),
+                    gen: 0,
+                    gate,
+                    x: node.x,
+                    y: node.y,
+                    capacity: node.capacity,
+                }
+            })
+            .collect();
+        let share_table = share_factor_table(&options);
+        // A hard-wired edge (no switch) has factor 1.0.
+        let share_min = share_table.iter().copied().fold(1.0, f64::min);
         Self {
             rrg,
             space: ModeSpace::new(options.mode_count),
@@ -771,12 +1033,12 @@ impl<'a> Router<'a> {
             switch_act: vec![ModeSet::EMPTY; rrg.switch_count()],
             history: vec![0.0; n],
             pres_fac: options.pres_fac_first,
+            share_table,
+            share_min,
             max_x,
             max_y,
-            ipin_sink,
-            dist: vec![0.0; n],
+            nodes,
             prev: vec![(0, None); n],
-            gen: vec![0; n],
             generation: 0,
             heap: BinaryHeap::new(),
             path: Vec::new(),
@@ -824,13 +1086,20 @@ impl<'a> Router<'a> {
             + self.tree_buf.capacity()
     }
 
-    fn base_cost(&self, kind: RrKind) -> f64 {
+    fn base_cost(kind: RrKind) -> f64 {
         match kind {
             RrKind::ChanX | RrKind::ChanY => 1.0,
             RrKind::Ipin => 0.95,
             RrKind::Sink => 0.0,
             RrKind::Opin | RrKind::Source => 1.0,
         }
+    }
+
+    /// A node's congestion-independent cost factor: its base cost scaled
+    /// by its history — the value cached in `acc`.
+    #[inline]
+    fn accumulated_cost(kind: RrKind, history: f32) -> f64 {
+        Self::base_cost(kind) * (1.0 + f64::from(history))
     }
 
     /// Unit-delay model of a node traversal: one delay unit per wire
@@ -853,19 +1122,14 @@ impl<'a> Router<'a> {
         self.crit_dat[self.crit_idx[net_index] as usize + sink_index]
     }
 
-    /// Node cost given the node's (already fetched) RRG record.
-    fn node_cost(&self, node: u32, rr: &mm_arch::RrNode, act: ModeSet) -> f64 {
-        let occ_eff = f64::from(self.occ.max_in(node as usize, act));
-        let over = (occ_eff + 1.0 - f64::from(rr.capacity)).max(0.0);
-        let pres = 1.0 + self.pres_fac * over;
-        self.base_cost(rr.kind) * (1.0 + f64::from(self.history[node as usize])) * pres
-    }
-
-    /// The modes in which `switch` currently carries signal — O(1) from
-    /// the incrementally maintained activation table.
+    /// Node cost given the node's (already fetched) search record: the
+    /// cached accumulated cost times the present-congestion factor.
     #[inline]
-    fn switch_activation(&self, switch: SwitchId) -> ModeSet {
-        self.switch_act[switch.index()]
+    fn node_cost(&self, node: usize, sn: &SearchNode, act: ModeSet) -> f64 {
+        let occ_eff = f64::from(self.occ.max_in(node, act));
+        let over = (occ_eff + 1.0 - f64::from(sn.capacity)).max(0.0);
+        let pres = 1.0 + self.pres_fac * over;
+        sn.acc * pres
     }
 
     /// Claims `switch` in the modes of `act`, keeping the activation
@@ -895,36 +1159,21 @@ impl<'a> Router<'a> {
 
     /// Reconfiguration-aware edge factor: cheaper when the traversal makes
     /// the switch bit *less* parameterized (sharing across disjoint
-    /// modes), dearer when it freshly parameterizes it.
-    fn share_factor(&self, switch: Option<SwitchId>, act: ModeSet) -> f64 {
-        if self.options.mode_count == 1
-            || (self.options.share_discount == 0.0 && self.options.param_penalty == 0.0)
-        {
-            return 1.0;
-        }
-        let Some(s) = switch else { return 1.0 };
-        let current = self.switch_activation(s);
-        let after = current | act;
-        let before_param = current.is_parameterized(self.space);
-        let after_param = after.is_parameterized(self.space);
-        if after_param && !before_param && current.is_never() {
-            1.0 + self.options.param_penalty
-        } else if before_param && !after_param {
-            1.0 - self.options.share_discount
-        } else if before_param && act.is_subset(current) {
-            // Re-using an already-parameterized switch in covered modes
-            // costs nothing extra — mildly encourage convergence.
-            1.0 - self.options.share_discount * 0.5
-        } else {
-            1.0
-        }
+    /// modes), dearer when it freshly parameterizes it. `act` and `all`
+    /// are the masks of the connection's modes and of every mode.
+    #[inline]
+    fn share_factor(&self, switch: Option<SwitchId>, act: u64, all: u64) -> f64 {
+        switch.map_or(1.0, |s| {
+            self.share_table[share_class(self.switch_act[s.index()].mask(), act, all)]
+        })
     }
 
-    /// A* distance estimate to the (pre-fetched) target coordinates.
+    /// A* distance estimate from `(x, y)` to the (pre-fetched) target
+    /// coordinates.
     #[inline]
-    fn heuristic_to(&self, rr: &mm_arch::RrNode, tx: i32, ty: i32) -> f64 {
-        let dx = (i32::from(rr.x) - tx).unsigned_abs();
-        let dy = (i32::from(rr.y) - ty).unsigned_abs();
+    fn heuristic_to(&self, x: u16, y: u16, tx: i32, ty: i32) -> f64 {
+        let dx = (i32::from(x) - tx).unsigned_abs();
+        let dy = (i32::from(y) - ty).unsigned_abs();
         self.options.astar_fac * f64::from(dx + dy)
     }
 
@@ -1029,6 +1278,10 @@ impl<'a> Router<'a> {
         self.switch_use.counts.fill(0);
         self.switch_act.fill(ModeSet::EMPTY);
         self.history.fill(0.0);
+        for (i, sn) in self.nodes.iter_mut().enumerate() {
+            let kind = self.rrg.node(RrNodeId::from_index(i as u32)).kind;
+            sn.acc = Self::accumulated_cost(kind, 0.0);
+        }
         self.pres_fac = self.options.pres_fac_first;
         self.steiner_cache.clear();
         self.steiner_cache.resize(nets.len(), Vec::new());
@@ -1099,11 +1352,13 @@ impl<'a> Router<'a> {
             let touched = std::mem::take(&mut self.touched);
             for &node in &touched {
                 let node = node as usize;
-                let cap = self.rrg.node(RrNodeId::from_index(node as u32)).capacity;
+                let rr = self.rrg.node(RrNodeId::from_index(node as u32));
                 let max = self.occ.max_all(node);
-                if max > cap {
+                if max > rr.capacity {
                     overused_nodes += 1;
-                    self.history[node] += (self.options.history_cost * f64::from(max - cap)) as f32;
+                    self.history[node] +=
+                        (self.options.history_cost * f64::from(max - rr.capacity)) as f32;
+                    self.nodes[node].acc = Self::accumulated_cost(rr.kind, self.history[node]);
                 }
             }
             self.touched = touched;
@@ -1475,25 +1730,30 @@ impl<'a> Router<'a> {
         let rrg = self.rrg;
         let target_rr = rrg.node(target);
         let (tx, ty) = (i32::from(target_rr.x), i32::from(target_rr.y));
+        let c = self.sink_crit;
+        let share_min = self.share_min;
+        let (act_mask, all_mask) = (act.mask(), self.space.all().mask());
         self.heap.clear();
 
         for t in tree {
             let node = t.node.index() as u32;
-            let rr = rrg.node(t.node);
-            if !bbox.contains(rr.x, rr.y) {
+            let sn = &mut self.nodes[node as usize];
+            if !bbox.contains(sn.x, sn.y) {
                 continue; // a congestion detour left the box; not a seed
             }
-            self.dist[node as usize] = 0.0;
+            sn.dist = 0.0;
+            sn.gen = generation;
+            let (x, y) = (sn.x, sn.y);
             self.prev[node as usize] = (node, None);
-            self.gen[node as usize] = generation;
-            let f = self.heuristic_to(rr, tx, ty);
-            self.heap.push(HeapEntry { f, g: 0.0, node });
+            let f = self.heuristic_to(x, y, tx, ty);
+            self.heap.push(SearchEntry::new(f, 0.0, node));
         }
 
         let mut found = false;
         while let Some(entry) = self.heap.pop() {
             let u = entry.node;
-            if entry.g > self.dist[u as usize] + 1e-12 {
+            let eg = entry.g;
+            if eg > self.nodes[u as usize].dist + 1e-12 {
                 continue; // stale
             }
             if u == target_idx {
@@ -1501,39 +1761,44 @@ impl<'a> Router<'a> {
                 break;
             }
             for e in rrg.edges(RrNodeId::from_index(u)) {
-                let v = e.to.index() as u32;
-                let to = rrg.node(e.to);
-                // Never expand through foreign sinks or sources; prune
-                // IPINs that do not lead to the target (one read from the
-                // precomputed table), and anything outside the net's
-                // bounding box.
-                match to.kind {
-                    RrKind::Sink if v != target_idx => continue,
-                    RrKind::Source => continue,
-                    RrKind::Ipin if self.ipin_sink[v as usize] != target_idx => continue,
-                    _ => {}
-                }
-                if !bbox.contains(to.x, to.y) {
+                let v = e.to.index();
+                let sn = self.nodes[v];
+                // Never expand through foreign sinks or sources, nor
+                // IPINs that do not lead to the target: one gate read.
+                if sn.gate != GATE_ALWAYS && sn.gate != target_idx {
                     continue;
                 }
+                if !bbox.contains(sn.x, sn.y) {
+                    continue;
+                }
+                let reached = sn.gen == generation;
                 // Timing-driven blend: a critical sink trades congestion
                 // cost for wire delay. The `c == 0.0` branch keeps the
                 // default path bit-identical to the congestion-only
                 // router (the parity tests rely on that).
-                let c = self.sink_crit;
                 let g = if c > 0.0 {
-                    entry.g
-                        + (1.0 - c) * self.node_cost(v, to, act) * self.share_factor(e.switch, act)
-                        + c * Self::wire_delay(to.kind)
+                    eg + (1.0 - c)
+                        * self.node_cost(v, &sn, act)
+                        * self.share_factor(e.switch, act_mask, all_mask)
+                        + c * Self::wire_delay(rrg.node(e.to).kind)
                 } else {
-                    entry.g + self.node_cost(v, to, act) * self.share_factor(e.switch, act)
+                    // Rejection before the full cost: `pres >= 1` and
+                    // `share >= share_min`, and IEEE `*`/`+` are monotone
+                    // on non-negative operands, so the full `g` is at
+                    // least this bound and would be rejected too.
+                    if reached && eg + sn.acc * share_min + 1e-12 >= sn.dist {
+                        continue;
+                    }
+                    eg + self.node_cost(v, &sn, act)
+                        * self.share_factor(e.switch, act_mask, all_mask)
                 };
-                if self.gen[v as usize] != generation || g + 1e-12 < self.dist[v as usize] {
-                    self.gen[v as usize] = generation;
-                    self.dist[v as usize] = g;
-                    self.prev[v as usize] = (u, e.switch);
-                    let f = g + self.heuristic_to(to, tx, ty);
-                    self.heap.push(HeapEntry { f, g, node: v });
+                if !reached || g + 1e-12 < sn.dist {
+                    let slot = &mut self.nodes[v];
+                    slot.gen = generation;
+                    slot.dist = g;
+                    self.prev[v] = (u, e.switch);
+                    let f = g + self.heuristic_to(sn.x, sn.y, tx, ty);
+                    self.heap.push(SearchEntry::new(f, g, v as u32));
                 }
             }
         }

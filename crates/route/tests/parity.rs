@@ -149,6 +149,81 @@ fn equidistant_suite(seed: u64) -> Suite {
     }
 }
 
+/// An over-subscribed suite: more mode-0 connections end in one
+/// "hotspot" logic block than its `SINK` has pins, around it channels
+/// of width 1–2 carry distinct-driver background nets. No routing
+/// exists, so PathFinder runs every iteration with the present factor
+/// climbing to ~1e9 — the regime of a failing width probe, where the
+/// search's integer heap key and its rejection bound do their work.
+fn congested_suite(seed: u64) -> Suite {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(4..=5usize);
+    let w = rng.gen_range(1..=2usize);
+    let modes = rng.gen_range(1..=3usize);
+    let rrg = RoutingGraph::build(&Architecture::new(4, n, w));
+    let mut sites: Vec<Site> = (1..=n)
+        .flat_map(|x| (1..=n).map(move |y| Site::new(x as u16, y as u16, 0)))
+        .collect();
+    for i in (1..sites.len()).rev() {
+        sites.swap(i, rng.gen_range(0..=i));
+    }
+    let hotspot = rrg.logic_sink(sites[0]);
+    let random_sink = |rng: &mut StdRng| {
+        let site = Site::new(rng.gen_range(1..=n) as u16, rng.gen_range(1..=n) as u16, 0);
+        let mut act = ModeSet::single(rng.gen_range(0..modes));
+        for m in 0..modes {
+            if rng.gen_bool(0.3) {
+                act.insert(m);
+            }
+        }
+        RouteSink {
+            node: rrg.logic_sink(site),
+            activation: act,
+        }
+    };
+    // `k + 1` or more mode-0 connections into a SINK of capacity `k`.
+    let hot_nets = rng.gen_range(5..=7usize);
+    let background = rng.gen_range(2..=4usize);
+    let mut nets = Vec::with_capacity(hot_nets + background);
+    for (i, &driver) in sites[1..=hot_nets + background].iter().enumerate() {
+        let mut sinks: Vec<RouteSink> = (0..rng.gen_range(0..=2usize))
+            .map(|_| random_sink(&mut rng))
+            .filter(|s| s.node != hotspot)
+            .collect();
+        if i < hot_nets {
+            let mut act = ModeSet::single(0);
+            if modes > 1 && rng.gen_bool(0.5) {
+                act.insert(rng.gen_range(1..modes));
+            }
+            sinks.push(RouteSink {
+                node: hotspot,
+                activation: act,
+            });
+        } else if sinks.is_empty() {
+            sinks.push(random_sink(&mut rng));
+        }
+        nets.push(RouteNet {
+            name: format!("c{i}"),
+            source: rrg.logic_source(driver),
+            sinks,
+        });
+    }
+    Suite { rrg, nets, modes }
+}
+
+/// Asserts a routing failed the way a hopeless width probe does: every
+/// iteration ran and overuse remained, with every sink reached.
+fn assert_failed_every_iteration(
+    r: &Routing,
+    options: &RouterOptions,
+) -> Result<(), TestCaseError> {
+    prop_assert!(!r.success, "an over-subscribed suite cannot route");
+    prop_assert_eq!(r.iterations, options.max_iterations);
+    prop_assert!(r.overused_nodes > 0);
+    prop_assert_eq!(r.unrouted_sinks, 0);
+    Ok(())
+}
+
 /// Asserts two routings are byte-identical: same iteration count, same
 /// status, and the same trees node for node.
 fn assert_identical(a: &Routing, b: &Routing) -> Result<(), TestCaseError> {
@@ -420,6 +495,52 @@ proptest! {
         assert_identical(&implicit, &explicit)?;
         let reference = route_reference_with_margins(&suite.rrg, options, &suite.nets, &margins);
         assert_identical(&explicit, &reference)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Where probes fail: on an over-subscribed fabric the optimized
+    /// router runs all `max_iterations` with the present factor near
+    /// 1e9 and stays byte-identical to the naive reference.
+    #[test]
+    fn failing_routes_match_reference(seed in 0u64..1_000_000) {
+        let suite = congested_suite(seed);
+        let options = RouterOptions::for_modes(suite.modes);
+        let optimized = Router::new(&suite.rrg, options).route(&suite.nets);
+        assert_failed_every_iteration(&optimized, &options)?;
+        let reference = route_reference(&suite.rrg, options, &suite.nets);
+        assert_identical(&optimized, &reference)?;
+    }
+
+    /// The same through the criticality entry point. The reference has
+    /// no timing term, so the criticalities are all 0.0, which by
+    /// contract takes the congestion-only cost bit for bit; a mixed
+    /// table (some sinks critical) must fail the same way.
+    #[test]
+    fn failing_routes_with_criticality_match_reference(seed in 0u64..1_000_000) {
+        let suite = congested_suite(seed ^ 0xc417);
+        let options = RouterOptions::for_modes(suite.modes);
+        let zeros: Vec<Vec<f64>> = suite.nets.iter().map(|n| vec![0.0; n.sinks.len()]).collect();
+        let crit = Router::new(&suite.rrg, options).route_with_criticality(&suite.nets, &zeros);
+        assert_failed_every_iteration(&crit, &options)?;
+        let reference = route_reference(&suite.rrg, options, &suite.nets);
+        assert_identical(&crit, &reference)?;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mixed: Vec<Vec<f64>> = suite
+            .nets
+            .iter()
+            .map(|n| {
+                n.sinks
+                    .iter()
+                    .map(|_| if rng.gen_bool(0.5) { rng.gen_range(0.1..1.0) } else { 0.0 })
+                    .collect()
+            })
+            .collect();
+        let timed = Router::new(&suite.rrg, options).route_with_criticality(&suite.nets, &mixed);
+        assert_failed_every_iteration(&timed, &options)?;
     }
 }
 

@@ -189,6 +189,19 @@ fn ping_error_recovery_and_shutdown_frames() {
         }
         other => panic!("expected an error frame, got {other:?}"),
     }
+    // So does a batch whose overrides no job can run (a zero-track
+    // channel): refused at decode time, before any worker panics.
+    stream
+        .write_all(b"{\"cmd\":\"batch\",\"spec\":\"suite:fir\",\"width\":0}\n")
+        .unwrap();
+    let (records, frames) = read_exchange(&mut reader);
+    assert!(records.is_empty());
+    match &frames[0] {
+        Frame::Error { message, .. } => {
+            assert!(message.contains("\"width\" must be positive"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
     send(&mut stream, &Request::Ping);
     let (_, frames) = read_exchange(&mut reader);
     assert_eq!(frames, vec![Frame::Pong]);
