@@ -14,12 +14,16 @@
 //! * `annealer/naive_baseline` — the same sweep on the hash-map
 //!   reference model (byte-identical placements, so the ratio is a pure
 //!   data-structure speedup).
-//! * `placer/mdr_parallel_place` and `flow/pair_staged` — the intra-job
-//!   parallel stages introduced with the batch engine's stage sharing.
+//! * `placer/mdr_place_serial` / `placer/mdr_place_parallel` — the
+//!   intra-job parallel per-mode MDR annealing.
+//! * `flow/pair_route_stage` — the routing half of the combined
+//!   comparison on precomputed placements: the MDR flow plus the DCS
+//!   flow under both placement costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mm_bench::perf::{placer_workload, router_workload, small_pair_input, PerfConfig};
-use mm_flow::{place_pair, run_pair_with_placements, FlowOptions, MdrFlow, MultiModeInput};
+use mm_flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
+use mm_place::CostKind;
 use mm_place::{place_combined, place_combined_reference};
 use mm_route::reference::route_reference;
 use mm_route::Router;
@@ -97,12 +101,31 @@ fn bench_placer(c: &mut Criterion) {
 
 fn bench_flow(c: &mut Criterion) {
     let (input, options) = pair_input();
-    let placements = place_pair(&input, &options).expect("pair places");
+    let mdr = MdrFlow::new(options);
+    let mdr_placements = mdr.place(&input).expect("mdr places");
+    let dcs: Vec<_> = [CostKind::EdgeMatching, CostKind::WireLength]
+        .into_iter()
+        .map(|cost| {
+            let flow = DcsFlow::new(options).with_cost(cost);
+            let placement = flow.place(&input).expect("dcs places");
+            (flow, placement)
+        })
+        .collect();
     c.bench_function("flow/pair_route_stage", |b| {
         b.iter(|| {
-            run_pair_with_placements(&input, &options, "bench", &placements)
+            let mut width = mdr
+                .run_with_placements(&input, mdr_placements.clone())
                 .unwrap()
-                .grid
+                .arch
+                .channel_width;
+            for (flow, placement) in &dcs {
+                width += flow
+                    .run_with_placement(&input, placement.clone())
+                    .unwrap()
+                    .arch
+                    .channel_width;
+            }
+            width
         })
     });
 }

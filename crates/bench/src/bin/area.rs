@@ -4,7 +4,7 @@
 
 use mm_bench::{run_set, BenchmarkSet, RunConfig};
 use mm_flow::report::render_table;
-use mm_flow::{PairMetrics, Stats};
+use mm_flow::{CombinedMetrics, Stats};
 use mm_netlist::LutCircuit;
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
         let metrics = run_set(set, &config);
         let ratios: Vec<f64> = metrics
             .iter()
-            .map(|m: &PairMetrics| 100.0 * m.area_vs_static())
+            .map(|m: &CombinedMetrics| 100.0 * m.area_vs_static())
             .collect();
         let s = Stats::of(&ratios);
         rows.push(vec![

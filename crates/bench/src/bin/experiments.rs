@@ -11,7 +11,7 @@ use mm_bench::{
     fig5_row, fig6_rows, fig7_row, run_set_engine, table1_row, BenchmarkSet, RunConfig,
 };
 use mm_flow::report::render_table;
-use mm_flow::{PairMetrics, Stats};
+use mm_flow::{CombinedMetrics, Stats};
 use mm_netlist::LutCircuit;
 use std::time::{Duration, Instant};
 
@@ -25,7 +25,7 @@ fn main() {
     print!("{}", render_table(&["set", "min", "avg", "max"], &rows));
 
     let engine = config.engine();
-    let mut all: Vec<(BenchmarkSet, Vec<PairMetrics>)> = Vec::new();
+    let mut all: Vec<(BenchmarkSet, Vec<CombinedMetrics>)> = Vec::new();
     let mut serial_cost = Duration::ZERO;
     let mut cached_results = 0usize;
     let parallel_t0 = Instant::now();

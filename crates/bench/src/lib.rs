@@ -14,7 +14,7 @@
 pub mod perf;
 
 use mm_engine::{Engine, EngineOptions, FlowKind, Job, JobOutcome};
-use mm_flow::{run_pair, FlowOptions, MultiModeInput, PairMetrics, Stats};
+use mm_flow::{run_combined_n, CombinedMetrics, FlowOptions, Stats};
 use mm_netlist::LutCircuit;
 use std::path::PathBuf;
 
@@ -227,7 +227,7 @@ pub fn quick_options() -> FlowOptions {
 /// Panics if a pair fails to place or route (the calibrated suites never
 /// do).
 #[must_use]
-pub fn run_set(set: BenchmarkSet, config: &RunConfig) -> Vec<PairMetrics> {
+pub fn run_set(set: BenchmarkSet, config: &RunConfig) -> Vec<CombinedMetrics> {
     let circuits = set.circuits();
     let mut out = Vec::new();
     for (count, (i, j)) in set.pairs().into_iter().enumerate() {
@@ -235,9 +235,8 @@ pub fn run_set(set: BenchmarkSet, config: &RunConfig) -> Vec<PairMetrics> {
             break;
         }
         let name = format!("{}+{}", circuits[i].name(), circuits[j].name());
-        let input = MultiModeInput::new(vec![circuits[i].clone(), circuits[j].clone()])
-            .expect("suite circuits are valid");
-        let metrics = match run_pair(&input, &config.options, name.clone()) {
+        let modes = [circuits[i].clone(), circuits[j].clone()];
+        let metrics = match run_combined_n(&modes, &config.options, name.clone()) {
             Ok(m) => m,
             Err(e) => {
                 // A pair can defeat one of the flows (edge matching can
@@ -260,7 +259,7 @@ pub fn run_set(set: BenchmarkSet, config: &RunConfig) -> Vec<PairMetrics> {
     out
 }
 
-/// The multi-mode pairings of a set as engine jobs (full `run_pair`
+/// The multi-mode pairings of a set as engine jobs (full combined
 /// comparisons, named `<a>+<b>`).
 #[must_use]
 pub fn pair_jobs(set: BenchmarkSet, config: &RunConfig) -> Vec<Job> {
@@ -288,7 +287,7 @@ pub fn run_set_engine(
     set: BenchmarkSet,
     config: &RunConfig,
     engine: &Engine,
-) -> (Vec<PairMetrics>, mm_engine::BatchReport) {
+) -> (Vec<CombinedMetrics>, mm_engine::BatchReport) {
     let jobs = pair_jobs(set, config);
     let report = engine.run_streamed(jobs, |r| match &r.outcome {
         Ok(JobOutcome::Pair(m)) => {
@@ -318,17 +317,17 @@ pub fn run_set_engine(
 
 /// Fig. 5 row: speed-up statistics per set.
 #[must_use]
-pub fn fig5_row(set: BenchmarkSet, metrics: &[PairMetrics]) -> Vec<String> {
+pub fn fig5_row(set: BenchmarkSet, metrics: &[CombinedMetrics]) -> Vec<String> {
     let edge = Stats::of(
         &metrics
             .iter()
-            .map(PairMetrics::speedup_edge)
+            .map(CombinedMetrics::speedup_edge)
             .collect::<Vec<_>>(),
     );
     let wl = Stats::of(
         &metrics
             .iter()
-            .map(PairMetrics::speedup_wirelength)
+            .map(CombinedMetrics::speedup_wirelength)
             .collect::<Vec<_>>(),
     );
     vec![
@@ -341,8 +340,8 @@ pub fn fig5_row(set: BenchmarkSet, metrics: &[PairMetrics]) -> Vec<String> {
 
 /// Fig. 6 rows: LUT/routing contribution for MDR, Diff and DCS(-wl).
 #[must_use]
-pub fn fig6_rows(set: BenchmarkSet, metrics: &[PairMetrics]) -> Vec<Vec<String>> {
-    let mean = |f: &dyn Fn(&PairMetrics) -> (usize, usize)| -> (f64, f64) {
+pub fn fig6_rows(set: BenchmarkSet, metrics: &[CombinedMetrics]) -> Vec<Vec<String>> {
+    let mean = |f: &dyn Fn(&CombinedMetrics) -> (usize, usize)| -> (f64, f64) {
         let n = metrics.len().max(1) as f64;
         let (l, r) = metrics
             .iter()
@@ -350,19 +349,21 @@ pub fn fig6_rows(set: BenchmarkSet, metrics: &[PairMetrics]) -> Vec<Vec<String>>
             .fold((0usize, 0usize), |(al, ar), (l, r)| (al + l, ar + r));
         (l as f64 / n, r as f64 / n)
     };
-    type BitsExtractor = Box<dyn Fn(&PairMetrics) -> (usize, usize)>;
+    type BitsExtractor = Box<dyn Fn(&CombinedMetrics) -> (usize, usize)>;
     let scenarios: [(&str, BitsExtractor); 3] = [
         (
             "MDR",
-            Box::new(|m: &PairMetrics| (m.mdr.lut_bits, m.mdr.routing_bits)),
+            Box::new(|m: &CombinedMetrics| (m.mdr.lut_bits, m.mdr.routing_bits)),
         ),
         (
             "Diff",
-            Box::new(|m: &PairMetrics| (m.diff.lut_bits, m.diff.routing_bits)),
+            Box::new(|m: &CombinedMetrics| (m.diff.lut_bits, m.diff.routing_bits)),
         ),
         (
             "DCS",
-            Box::new(|m: &PairMetrics| (m.dcs_wirelength.lut_bits, m.dcs_wirelength.routing_bits)),
+            Box::new(|m: &CombinedMetrics| {
+                (m.dcs_wirelength.lut_bits, m.dcs_wirelength.routing_bits)
+            }),
         ),
     ];
     scenarios
@@ -383,7 +384,7 @@ pub fn fig6_rows(set: BenchmarkSet, metrics: &[PairMetrics]) -> Vec<Vec<String>>
 
 /// Fig. 7 row: per-mode wire usage relative to MDR.
 #[must_use]
-pub fn fig7_row(set: BenchmarkSet, metrics: &[PairMetrics]) -> Vec<String> {
+pub fn fig7_row(set: BenchmarkSet, metrics: &[CombinedMetrics]) -> Vec<String> {
     let edge = Stats::of(
         &metrics
             .iter()

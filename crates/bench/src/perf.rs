@@ -25,8 +25,9 @@
 //!   cache, a warm re-run (everything from cache), a `pair` job that
 //!   shares the placement stages plain `dcs`/`mdr` jobs cached — the
 //!   cross-job stage-sharing number — an `nmodes` sub-benchmark:
-//!   3-mode combined-comparison jobs cold/warm, parity-gated on
-//!   `run_combined_n` over two modes reproducing `run_pair` exactly —
+//!   3-mode combined-comparison jobs cold/warm, parity-gated on a
+//!   two-mode `pair` record assembled from summary nodes that plain
+//!   jobs cached reproducing an uncached `run_combined_n` exactly —
 //!   and a `stagegraph` cache-replay sweep: re-running a batch with
 //!   only router options changed must leave every placement node warm
 //!   (structural fingerprints exclude downstream options), and the
@@ -837,8 +838,9 @@ impl StageGraphPerf {
 
 /// The multi-mode sub-benchmark: a batch of 3-mode combined-comparison
 /// jobs through the engine, cold and warm, parity-gated on the N = 2
-/// case (`run_combined_n` over two modes must equal `run_pair` — record
-/// bytes included).
+/// case (a `pair` record the engine joins from cached plain-job
+/// summaries must equal an uncached `run_combined_n` — record bytes
+/// included).
 #[derive(Debug, Clone)]
 pub struct NModesPerf {
     /// Modes per problem in the workload.
@@ -857,8 +859,9 @@ pub struct NModesPerf {
     pub warm_stages_recomputed: usize,
     /// Jobs per second on the cold run.
     pub cold_jobs_per_sec: f64,
-    /// `run_combined_n` over two modes produced metrics and a JSONL
-    /// record byte-identical to `run_pair` on the same input.
+    /// A two-mode `pair` job whose summary nodes plain `mdr`/`dcs` jobs
+    /// cached ran only its join, and its record is byte-identical to an
+    /// uncached `run_combined_n` on the same input.
     pub parity_ok: bool,
 }
 
@@ -992,8 +995,7 @@ pub fn flow_perf(config: &PerfConfig) -> FlowPerf {
     let pair_info = pair.results[0].cache;
 
     // The multi-mode scenario: 3-mode combined-comparison jobs through
-    // the same engine, cold then warm, plus the N = 2 parity gate
-    // (run_combined_n must reproduce run_pair byte-for-byte).
+    // the same engine, cold then warm, plus the N = 2 parity gate below.
     let nmode_count = 3usize;
     let nmode_jobs: Vec<Job> = (0..if config.smoke { 2 } else { 3 })
         .map(|g| {
@@ -1021,18 +1023,30 @@ pub fn flow_perf(config: &PerfConfig) -> FlowPerf {
         .collect();
     let nmode_cold = engine.run(nmode_jobs.clone());
     let nmode_warm = engine.run(nmode_jobs.clone());
-    // The gate is a regression tripwire, not a tautology check: today
-    // `run_pair` delegates to the same staged code as `run_combined_n`,
-    // and this keeps the committed BENCH artifact asserting that the
-    // two entry points never diverge again.
+    // The N = 2 parity gate: plain mdr, dcs-edge and dcs jobs leave
+    // their summaries in the cache (the first and last are warm from the
+    // cold batch); a `pair` job with the same options must then run only
+    // its join and emit the record an uncached `run_combined_n` does.
     let parity_ok = {
         let two = jobs[0].circuits.clone();
-        let input = mm_flow::MultiModeInput::new(two.clone()).expect("bench circuits are valid");
-        let via_pair = mm_flow::run_pair(&input, &options, "parity").expect("pair runs");
+        let job = |flow| Job {
+            name: "parity".into(),
+            circuits: two.clone(),
+            flow,
+            options,
+        };
+        let plain = engine.run(vec![
+            job(FlowKind::Mdr),
+            job(FlowKind::Dcs(CostKind::EdgeMatching)),
+            job(FlowKind::Dcs(CostKind::WireLength)),
+        ]);
+        let joined = engine.run(vec![job(FlowKind::Pair)]);
         let via_n = mm_flow::run_combined_n(&two, &options, "parity").expect("combined runs");
-        via_pair == via_n
-            && mm_engine::JobOutcome::Pair(via_pair).to_value().to_json()
-                == mm_engine::JobOutcome::Pair(via_n).to_value().to_json()
+        plain.stats.ok == 3
+            && joined.stats.stages_recomputed == 1
+            && joined.results[0].outcome.as_ref().is_ok_and(|o| {
+                o.to_value().to_json() == mm_engine::JobOutcome::Pair(via_n).to_value().to_json()
+            })
     };
     let nmode_cold_ms = nmode_cold.wall.as_secs_f64() * 1000.0;
     let nmode_warm_ms = nmode_warm.wall.as_secs_f64() * 1000.0;
@@ -2130,7 +2144,10 @@ mod tests {
             perf.nmodes.warm_stages_recomputed, 0,
             "3-mode warm run fully cached"
         );
-        assert!(perf.nmodes.parity_ok, "run_combined_n(N=2) == run_pair");
+        assert!(
+            perf.nmodes.parity_ok,
+            "pair record joined from cached summaries == run_combined_n(N=2)"
+        );
         // The stage-graph replay sweep: a router-only change must leave
         // every placement node warm and reproduce cacheless bytes.
         let sg = &perf.stagegraph;

@@ -932,7 +932,11 @@ fn cmd_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
             },
         );
         if !flow.nmodes.parity_ok {
-            return Err("flow benchmark: run_combined_n(N=2) diverged from run_pair".into());
+            return Err(
+                "flow benchmark: a pair record joined from cached summaries diverged from \
+                 run_combined_n(N=2)"
+                    .into(),
+            );
         }
         let sg = &flow.stagegraph;
         eprintln!(

@@ -131,9 +131,10 @@ pub struct FlowOptions {
     pub fc_in: f64,
     /// Output connection-block flexibility.
     pub fc_out: f64,
-    /// Worker threads for parallel sections *inside* one flow run
-    /// (per-mode MDR placements, the N+2 annealing legs and the routed
-    /// flow legs of `run_combined_n`): `0` = one per independent task,
+    /// Worker threads for parallel sections *inside* one flow run (the
+    /// per-mode MDR placements, and the ready nodes of each wave of a
+    /// stage plan, e.g. the placement and summary stages of
+    /// `run_combined_n`): `0` = one per independent task,
     /// `1` = strictly serial. Results are
     /// byte-identical at any setting (every task is independently
     /// seeded), so this deliberately does **not** participate in
@@ -160,7 +161,7 @@ impl Default for FlowOptions {
 }
 
 /// Resolves the intra-job worker count for `tasks` independent tasks.
-pub(crate) fn intra_threads(options: &FlowOptions, tasks: usize) -> usize {
+fn intra_threads(options: &FlowOptions, tasks: usize) -> usize {
     match options.intra_parallelism {
         0 => tasks.max(1),
         n => n,
@@ -241,7 +242,7 @@ impl FlowOptions {
 
 /// Per-sink routing criticalities for a net list, produced fresh for
 /// each routing-resource graph (node ids change with channel width).
-pub(crate) type CritFn<'a> = &'a dyn Fn(&RoutingGraph, &[RouteNet]) -> Vec<Vec<f64>>;
+type CritFn<'a> = &'a dyn Fn(&RoutingGraph, &[RouteNet]) -> Vec<Vec<f64>>;
 
 /// Owned form of [`CritFn`], as built by `estimated_criticality_fn`.
 type BoxedCritFn<'a> = Box<dyn Fn(&RoutingGraph, &[RouteNet]) -> Vec<Vec<f64>> + 'a>;
@@ -254,7 +255,7 @@ type BoxedCritFn<'a> = Box<dyn Fn(&RoutingGraph, &[RouteNet]) -> Vec<Vec<f64>> +
 /// With `crit`, each width attempt routes timing-driven: the closure is
 /// re-evaluated against the attempt's graph and nets so criticalities
 /// always key the right RR nodes.
-pub(crate) fn route_with_growth(
+fn route_with_growth(
     base: &Architecture,
     width: usize,
     max_width: usize,
@@ -309,7 +310,7 @@ pub(crate) fn route_with_growth(
 
 /// Resolves the channel width for a net-building closure: either fixed, or
 /// minimum + 20%.
-pub(crate) fn resolve_width(
+fn resolve_width(
     arch: &Architecture,
     options: &FlowOptions,
     router: &RouterOptions,
@@ -451,7 +452,7 @@ impl MdrFlow {
             ..self.options.placer
         };
         let modes: Vec<usize> = (0..input.mode_count()).collect();
-        let threads = crate::flow::intra_threads(&self.options, modes.len());
+        let threads = intra_threads(&self.options, modes.len());
         crate::pool::run_ordered(
             modes,
             threads,
@@ -500,25 +501,17 @@ impl MdrFlow {
         mm_place::verify_placement(input.circuits(), &base, &wrapped).map_err(FlowError::Input)?;
         let placements = wrapped.modes;
 
-        // Width: the maximum over the modes' minima, relaxed 20%.
-        let width = match self.options.width {
-            WidthChoice::Fixed(w) => w,
-            WidthChoice::Relaxed => {
-                let mut w = 0usize;
-                for (m, circuit) in input.circuits().iter().enumerate() {
-                    let placement = &placements[m];
-                    let found = min_channel_width(&base, &router, self.options.max_width, |rrg| {
-                        nets_for_circuit(circuit, rrg, ModeSet::single(0), |b| placement.site_of(b))
-                    })
-                    .ok_or(FlowError::Unroutable {
-                        max_width: self.options.max_width,
-                        context: format!("MDR mode {m}"),
-                    })?;
-                    w = w.max(found.min_width);
-                }
-                relaxed_width(w)
-            }
-        };
+        // Width: the maximum over the modes' own widths (the +20%
+        // relaxation is monotone, so this is the maximum minimum +20%).
+        let mut width = 0;
+        for (m, circuit) in input.circuits().iter().enumerate() {
+            let placement = &placements[m];
+            let context = format!("MDR mode {m}");
+            let wm = resolve_width(&base, &self.options, &router, &context, |rrg| {
+                nets_for_circuit(circuit, rrg, ModeSet::single(0), |b| placement.site_of(b))
+            })?;
+            width = width.max(wm);
+        }
 
         // All modes must route at one shared width; grow it together if a
         // mode fails to converge.
@@ -846,37 +839,10 @@ impl DcsFlow {
 mod tests {
     use super::*;
     use mm_bitstream::speedup;
-    use mm_netlist::TruthTable;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
-    /// A deterministic random circuit (mirrors the placer's test helper).
+    /// The repo's shared seeded test circuit (`mm_gen`).
     fn random_circuit(name: &str, n_inputs: usize, n_luts: usize, seed: u64) -> LutCircuit {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut c = LutCircuit::new(name, 4);
-        let mut drivers: Vec<mm_netlist::BlockId> = (0..n_inputs)
-            .map(|i| c.add_input(format!("i{i}")).unwrap())
-            .collect();
-        for j in 0..n_luts {
-            let fanin = rng.gen_range(2..=4.min(drivers.len()));
-            let mut ins = Vec::new();
-            while ins.len() < fanin {
-                let d = drivers[rng.gen_range(0..drivers.len())];
-                if !ins.contains(&d) {
-                    ins.push(d);
-                }
-            }
-            let tt = TruthTable::from_bits(ins.len(), rng.gen());
-            let id = c
-                .add_lut(format!("n{j}"), ins, tt, rng.gen_bool(0.2))
-                .unwrap();
-            drivers.push(id);
-        }
-        for t in 0..3 {
-            let d = drivers[drivers.len() - 1 - t];
-            c.add_output(format!("o{t}"), d).unwrap();
-        }
-        c
+        mm_gen::seeded_test_circuit(name, n_inputs, n_luts, seed)
     }
 
     fn small_input() -> MultiModeInput {

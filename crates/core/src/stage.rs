@@ -11,8 +11,9 @@
 //!   assembled with [`PlanBuilder`] and executed with
 //!   [`StagePlan::execute`];
 //! * [`dcs_plan`], [`mdr_plan`] and [`combined_plan`] compile the three
-//!   flow flavors to plans — per-mode/variant annealing legs fan out, the
-//!   summarizing route/tune stage joins them.
+//!   flow flavors to plans — annealing nodes fan out into route-and-
+//!   summarize nodes; the combined plan is the plain plans' nodes side by
+//!   side, joined by a pure `combine` stage.
 //!
 //! # Fingerprints and cache sharing
 //!
@@ -21,12 +22,11 @@
 //! fingerprint (the canonical BLIF of every mode) and the fingerprints of
 //! its dependencies. Two nodes with equal fingerprints compute the same
 //! artifact, so a cache keyed by node fingerprint shares work across
-//! plans automatically. In particular the annealing legs of a combined
-//! plan fingerprint **identically** to the placement nodes of the plain
-//! `dcs`/`mdr` plans on the same mode list — the pair↔plain placement
-//! sharing the batch engine used to hand-roll is now just the general
-//! case. Display labels ([`PlanNode::label`]) are deliberately excluded
-//! from fingerprints.
+//! plans automatically. In particular the placement *and* summary nodes
+//! of a combined plan fingerprint **identically** to those of the plain
+//! `dcs`/`mdr` plans on the same mode list, so combined and plain jobs
+//! share annealing and routing in both directions. Display labels
+//! ([`PlanNode::label`]) are deliberately excluded from fingerprints.
 //!
 //! Caching itself stays outside this crate: the executor consults a
 //! [`PlanHooks`] implementation per node ([`Lookup::Hit`] short-circuits
@@ -46,9 +46,7 @@
 
 use crate::flow::{DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
 use crate::pool;
-use crate::{
-    run_combined_with_placements, CombinedMetrics, CombinedPlacements, FlowError, TunableStats,
-};
+use crate::{CombinedMetrics, FlowError, TunableStats};
 use mm_bitstream::RewriteCost;
 use mm_netlist::blif;
 use mm_place::{CostKind, MultiPlacement, Placement, PlacerOptions};
@@ -520,8 +518,7 @@ impl StagePlan {
         // satisfied runs; the pool preserves node-id order within a
         // wave, so error priority matches a serial run. A failing wave
         // is still consumed whole — siblings that ran are timed (and,
-        // before the first error, stored), exactly as the hand-wired
-        // leg joins behaved.
+        // before the first error, stored).
         let failure = loop {
             let wave: Vec<NodeId> = (0..n)
                 .filter(|&i| need[i] && self.nodes[i].deps.iter().all(|&d| artifacts[d].is_some()))
@@ -788,11 +785,11 @@ impl Stage for MdrSummarize {
     }
 }
 
-/// The combined-comparison join: width resolution, routing and
-/// configuration extraction of all three legs on their own fabrics.
-struct Combine {
-    options: FlowOptions,
-}
+/// The combined-comparison join: assembles [`CombinedMetrics`] from the
+/// MDR summary and the edge-matching and wire-length DCS summaries. It
+/// routes nothing — every number is already in its dependencies — so it
+/// is a pure function of them (its parameters are empty).
+struct Combine;
 
 impl Stage for Combine {
     fn name(&self) -> &'static str {
@@ -800,7 +797,7 @@ impl Stage for Combine {
     }
 
     fn params(&self) -> String {
-        self.options.fingerprint()
+        String::new()
     }
 
     fn output_kind(&self) -> ArtifactKind {
@@ -808,13 +805,28 @@ impl Stage for Combine {
     }
 
     fn run(&self, input: &MultiModeInput, deps: &[Artifact]) -> Result<Artifact, FlowError> {
-        let placements = CombinedPlacements {
-            mdr: dep_mdr(deps, 0)?.as_ref().clone(),
-            edge: dep_combined(deps, 1)?.clone(),
-            wirelength: dep_combined(deps, 2)?.clone(),
+        let [Artifact::Mdr(mdr), Artifact::Dcs(edge), Artifact::Dcs(wl)] = deps else {
+            return Err(FlowError::Internal(
+                "combine expects the mdr, dcs-edge and dcs-wl summaries".into(),
+            ));
         };
-        let metrics = run_combined_with_placements(input, &self.options, "", &placements)?;
-        Ok(Artifact::Combined(metrics))
+        let mean = |w: &[usize]| w.iter().sum::<usize>() as f64 / w.len().max(1) as f64;
+        Ok(Artifact::Combined(CombinedMetrics {
+            name: String::new(),
+            grid: mdr.grid,
+            width_mdr: mdr.channel_width,
+            width_edge: edge.channel_width,
+            width_wirelength: wl.channel_width,
+            mdr: mdr.mdr_cost,
+            diff: mdr.avg_diff_cost,
+            dcs_edge: edge.dcs_cost,
+            dcs_wirelength: wl.dcs_cost,
+            wires_mdr: mean(&mdr.wires),
+            wires_edge: mean(&edge.wires),
+            wires_wirelength: mean(&wl.wires),
+            tunable_stats: wl.tunable,
+            mode_luts: input.circuits().iter().map(|c| c.lut_count()).collect(),
+        }))
     }
 }
 
@@ -848,72 +860,46 @@ pub fn mdr_plan(input: MultiModeInput, options: FlowOptions) -> StagePlan {
     b.build(input, root)
 }
 
-/// Compiles the full combined comparison: the three annealing legs fan
-/// out (fingerprinting identically to the plain plans' placement nodes,
-/// so caches share them bidirectionally) and the combine stage joins
-/// them.
+/// Compiles the full combined comparison: the nodes of [`mdr_plan`] and
+/// of [`dcs_plan`] for both combined-placement costs, fingerprinting
+/// identically to those plans (so caches share them bidirectionally),
+/// joined by the pure `combine` stage.
 #[must_use]
 pub fn combined_plan(input: MultiModeInput, options: FlowOptions) -> StagePlan {
     let mut b = PlanBuilder::new();
-    let mdr = b.add(Box::new(PlaceMdr { options }), vec![], "place-mdr");
-    let edge = b.add(
-        Box::new(PlaceDcs {
-            options,
-            cost: CostKind::EdgeMatching,
-        }),
-        vec![],
-        "place-dcs-edge",
-    );
-    let wl = b.add(
-        Box::new(PlaceDcs {
-            options,
-            cost: CostKind::WireLength,
-        }),
-        vec![],
-        "place-dcs-wl",
-    );
-    let root = b.add(
-        Box::new(Combine { options }),
-        vec![mdr, edge, wl],
-        "combine",
-    );
+    let place_mdr = b.add(Box::new(PlaceMdr { options }), vec![], "place-mdr");
+    let mut summaries = vec![b.add(
+        Box::new(MdrSummarize { options }),
+        vec![place_mdr],
+        "mdr-summary",
+    )];
+    for (cost, tag) in [
+        (CostKind::EdgeMatching, "edge"),
+        (CostKind::WireLength, "wl"),
+    ] {
+        let place = b.add(
+            Box::new(PlaceDcs { options, cost }),
+            vec![],
+            format!("place-dcs-{tag}"),
+        );
+        summaries.push(b.add(
+            Box::new(DcsSummarize { options, cost }),
+            vec![place],
+            format!("dcs-summary-{tag}"),
+        ));
+    }
+    let root = b.add(Box::new(Combine), summaries, "combine");
     b.build(input, root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_netlist::{LutCircuit, TruthTable};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use mm_netlist::LutCircuit;
     use std::sync::Mutex;
 
     fn random_circuit(name: &str, n_inputs: usize, n_luts: usize, seed: u64) -> LutCircuit {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut c = LutCircuit::new(name, 4);
-        let mut drivers: Vec<mm_netlist::BlockId> = (0..n_inputs)
-            .map(|i| c.add_input(format!("i{i}")).unwrap())
-            .collect();
-        for j in 0..n_luts {
-            let fanin = rng.gen_range(2..=4.min(drivers.len()));
-            let mut ins = Vec::new();
-            while ins.len() < fanin {
-                let d = drivers[rng.gen_range(0..drivers.len())];
-                if !ins.contains(&d) {
-                    ins.push(d);
-                }
-            }
-            let tt = TruthTable::from_bits(ins.len(), rng.gen());
-            let id = c
-                .add_lut(format!("n{j}"), ins, tt, rng.gen_bool(0.2))
-                .unwrap();
-            drivers.push(id);
-        }
-        for t in 0..3 {
-            let d = drivers[drivers.len() - 1 - t];
-            c.add_output(format!("o{t}"), d).unwrap();
-        }
-        c
+        mm_gen::seeded_test_circuit(name, n_inputs, n_luts, seed)
     }
 
     fn small_input() -> MultiModeInput {
@@ -946,10 +932,17 @@ mod tests {
                 .fingerprint()
                 .to_string()
         };
-        // Labels differ, fingerprints agree: the pair↔plain sharing rule.
+        // Labels differ, fingerprints agree: the pair↔plain sharing rule,
+        // for placements and routed summaries alike.
         assert_eq!(fp(&combined, "place-mdr"), fp(&mdr, "place-mdr"));
         assert_eq!(fp(&combined, "place-dcs-wl"), fp(&dcs_wl, "place-dcs"));
         assert_eq!(fp(&combined, "place-dcs-edge"), fp(&dcs_edge, "place-dcs"));
+        assert_eq!(fp(&combined, "mdr-summary"), mdr.root_fingerprint());
+        assert_eq!(fp(&combined, "dcs-summary-wl"), dcs_wl.root_fingerprint());
+        assert_eq!(
+            fp(&combined, "dcs-summary-edge"),
+            dcs_edge.root_fingerprint()
+        );
         assert_ne!(
             fp(&combined, "place-dcs-wl"),
             fp(&combined, "place-dcs-edge")
@@ -957,6 +950,42 @@ mod tests {
         // Roots separate the flavors.
         assert_ne!(combined.root_fingerprint(), dcs_wl.root_fingerprint());
         assert_ne!(mdr.root_fingerprint(), dcs_wl.root_fingerprint());
+    }
+
+    #[test]
+    fn combined_plan_joins_the_plain_summaries_without_routing() {
+        let options = quick();
+        let plan = combined_plan(small_input(), options);
+        let kinds: Vec<ArtifactKind> = plan.nodes().iter().map(PlanNode::output_kind).collect();
+        let count = |k: ArtifactKind| kinds.iter().filter(|&&x| x == k).count();
+        assert_eq!(count(ArtifactKind::MdrPlacements), 1);
+        assert_eq!(count(ArtifactKind::CombinedPlacement), 2);
+        assert_eq!(count(ArtifactKind::Mdr), 1);
+        assert_eq!(count(ArtifactKind::Dcs), 2);
+        assert_eq!(count(ArtifactKind::Combined), 1);
+        let root = &plan.nodes()[plan.root()];
+        assert!(root
+            .deps()
+            .iter()
+            .all(|&d| !plan.nodes()[d].output_kind().is_placement()));
+
+        // The join is pure: fed the plain plans' summaries, it yields
+        // exactly the metrics the whole plan computes.
+        let summary = |p: StagePlan| p.execute(&NoHooks, 1).artifact.unwrap();
+        let deps = [
+            summary(mdr_plan(small_input(), options)),
+            summary(dcs_plan(small_input(), options, CostKind::EdgeMatching)),
+            summary(dcs_plan(small_input(), options, CostKind::WireLength)),
+        ];
+        let Ok(Artifact::Combined(joined)) = Combine.run(&small_input(), &deps) else {
+            panic!("the join must accept the three summaries");
+        };
+        let Artifact::Combined(whole) = summary(plan) else {
+            panic!("expected combined metrics");
+        };
+        assert_eq!(joined, whole);
+        assert_eq!(joined.mode_luts, vec![12, 13]);
+        assert!(Combine.run(&small_input(), &deps[1..]).is_err());
     }
 
     #[test]

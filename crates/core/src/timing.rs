@@ -114,35 +114,9 @@ mod tests {
     use super::*;
     use crate::{DcsFlow, FlowOptions, MdrFlow};
     use mm_netlist::{LutCircuit, TruthTable};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn random_circuit(name: &str, n_inputs: usize, n_luts: usize, seed: u64) -> LutCircuit {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut c = LutCircuit::new(name, 4);
-        let mut drivers: Vec<mm_netlist::BlockId> = (0..n_inputs)
-            .map(|i| c.add_input(format!("i{i}")).unwrap())
-            .collect();
-        for j in 0..n_luts {
-            let fanin = rng.gen_range(2..=4.min(drivers.len()));
-            let mut ins = Vec::new();
-            while ins.len() < fanin {
-                let d = drivers[rng.gen_range(0..drivers.len())];
-                if !ins.contains(&d) {
-                    ins.push(d);
-                }
-            }
-            let tt = TruthTable::from_bits(ins.len(), rng.gen());
-            let id = c
-                .add_lut(format!("n{j}"), ins, tt, rng.gen_bool(0.2))
-                .unwrap();
-            drivers.push(id);
-        }
-        for t in 0..3 {
-            let d = drivers[drivers.len() - 1 - t];
-            c.add_output(format!("o{t}"), d).unwrap();
-        }
-        c
+        mm_gen::seeded_test_circuit(name, n_inputs, n_luts, seed)
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   tests — this is the engine's determinism contract).
 //!
 //! Each job [compiles](Job::compile) to a typed
-//! [`StagePlan`](mm_flow::stage::StagePlan) — per-mode annealing legs
-//! fanning into a summarize/combine root — and runs through the plan
+//! [`StagePlan`](mm_flow::stage::StagePlan) — annealing nodes fanning
+//! into summary nodes, which a `combined` plan joins in a pure `combine`
+//! root — and runs through the plan
 //! executor, which schedules ready nodes onto the pool (within the
 //! job's intra-parallelism budget) and records per-node wall clock and
 //! cache outcome. There is no per-flavor execution code here: `dcs`,
@@ -32,17 +33,19 @@
 //! the canonical input BLIFs and the fingerprints of its dependencies,
 //! composed recursively. Two namespaces fall out of the artifact kind:
 //!
-//! * `result` — summary/combine roots. A hit skips the whole plan.
+//! * `result` — summaries and combine roots. A root hit skips the
+//!   whole plan; a summary hit skips its routing and everything only it
+//!   demanded.
 //! * `placement` — the expensive annealing legs. A hit skips annealing
 //!   and re-runs only routing/extraction. Placement fingerprints
 //!   exclude router options, so jobs differing only in routing
 //!   configuration share annealing work.
 //!
-//! Because the legs of a `pair` job carry **the same** fingerprints as
-//! plain `mdr`/`dcs` jobs on the same mode list (labels are display
-//! only), placements flow freely between combined jobs and plain jobs
-//! in either direction — sharing is structural, not special-cased.
-//! Failures are never cached.
+//! Because the placement and summary nodes of a `pair` job carry **the
+//! same** fingerprints as plain `mdr`/`dcs` jobs on the same mode list
+//! (labels are display only), placements and routed summaries flow
+//! freely between combined jobs and plain jobs in either direction —
+//! sharing is structural, not special-cased. Failures are never cached.
 
 use crate::cache::{CacheStats, StageCache};
 use crate::hash::Sha256;
@@ -100,8 +103,10 @@ pub struct EngineStats {
     /// Flow stages actually executed across the batch (0 on a fully warm
     /// cache — the "zero recomputation" acceptance check).
     pub stages_recomputed: usize,
-    /// Plan nodes served from the cache across the batch — placements
-    /// *and* summary roots (the node-level dual of `stages_recomputed`).
+    /// Plan nodes served from the cache across the batch — placements,
+    /// summaries and roots alike (the node-level dual of
+    /// `stages_recomputed`; a combined job whose root misses can still
+    /// hit its three summary nodes).
     pub stages_from_cache: usize,
     /// Wall clock summed over every resolved plan node in the batch —
     /// the stage-level serial estimate (cache lookups included).
@@ -500,7 +505,9 @@ impl Engine {
     }
 
     /// Runs `plan` through the executor with the engine's cache hooks,
-    /// folding the per-node outcomes into `info`.
+    /// folding the per-node outcomes into `info`: placement hits, the
+    /// computed nodes, and `result_hit` only when the root itself hit
+    /// (summary hits below a missing root are not result hits).
     fn run_plan(
         &self,
         job: &Job,
@@ -521,12 +528,14 @@ impl Engine {
                     info.placement_hit = true;
                     info.placement_hits += 1;
                 }
-                // Summaries are always plan roots: a summary hit is a
-                // full result hit and nothing downstream exists to run.
-                CacheOutcome::Hit => info.result_hit = true,
+                CacheOutcome::Hit => {}
                 CacheOutcome::Miss | CacheOutcome::Uncached => info.stages_recomputed += 1,
             }
         }
+        // A summary hit need not be the root (a combined plan joins three
+        // summary nodes). A root hit seals the plan before anything else
+        // is looked up, so it is the one resolved stage.
+        info.result_hit = matches!(&run.stages[..], [only] if only.cache == CacheOutcome::Hit);
         let outcome = match run.artifact {
             Ok(Artifact::Dcs(s)) => Ok(JobOutcome::Dcs(s)),
             Ok(Artifact::Mdr(s)) => Ok(JobOutcome::Mdr(s)),

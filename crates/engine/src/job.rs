@@ -20,7 +20,7 @@ use crate::cache::CacheStats;
 use crate::json::{self, ObjBuilder, Value};
 use mm_bitstream::RewriteCost;
 use mm_flow::stage::{StagePlan, StageTiming};
-use mm_flow::{FlowOptions, MultiModeInput, PairMetrics, TunableStats, WidthChoice};
+use mm_flow::{CombinedMetrics, FlowOptions, MultiModeInput, TunableStats, WidthChoice};
 use mm_netlist::{blif, LutCircuit};
 use mm_place::{CostKind, MultiPlacement, Placement};
 use std::path::Path;
@@ -136,10 +136,11 @@ pub struct Job {
 }
 
 impl Job {
-    /// Compiles the job to its typed stage plan: per-mode placement legs
-    /// fanning into the summarizing stage for [`FlowKind::Dcs`] /
-    /// [`FlowKind::Mdr`], or the three annealing legs joining in the
-    /// combine stage for [`FlowKind::Pair`].
+    /// Compiles the job to its typed stage plan: a placement node
+    /// feeding the summarizing stage for [`FlowKind::Dcs`] /
+    /// [`FlowKind::Mdr`], or the MDR and both DCS summary stages (each on
+    /// its own placement node) joining in the combine stage for
+    /// [`FlowKind::Pair`].
     ///
     /// # Errors
     ///
@@ -202,7 +203,7 @@ pub enum JobOutcome {
     /// An MDR summary.
     Mdr(MdrSummary),
     /// The full pairwise comparison metrics.
-    Pair(PairMetrics),
+    Pair(CombinedMetrics),
 }
 
 /// Cache provenance of one job (reported in the summary, not in the
@@ -506,7 +507,7 @@ impl JobOutcome {
                 avg_diff_cost: cost_from(v.get("avg_diff_cost")?)?,
                 wires: usizes_from(v.get("wires")?)?,
             })),
-            "pair" => Some(JobOutcome::Pair(PairMetrics {
+            "pair" => Some(JobOutcome::Pair(CombinedMetrics {
                 name: name.to_string(),
                 grid: v.get("grid")?.as_usize()?,
                 width_mdr: v.get("width_mdr")?.as_usize()?,
@@ -1152,7 +1153,7 @@ mod tests {
         let back = JobOutcome::from_value(&timed.to_value(), "x").unwrap();
         assert_eq!(back, timed);
 
-        let pair = JobOutcome::Pair(PairMetrics {
+        let pair = JobOutcome::Pair(CombinedMetrics {
             name: "p".into(),
             grid: 6,
             width_mdr: 10,

@@ -32,7 +32,7 @@ fn jobs() -> Vec<Job> {
     let a = mm_gen::seeded_test_circuit("m0", 5, 10, 0xc4a0_0001);
     let b = mm_gen::seeded_test_circuit("m1", 5, 11, 0xc4a0_0002);
     let c = mm_gen::seeded_test_circuit("m2", 5, 12, 0xc4a0_0003);
-    vec![
+    let mut jobs = vec![
         Job {
             name: "storm-dcs".into(),
             circuits: vec![a.clone(), b.clone()],
@@ -47,11 +47,27 @@ fn jobs() -> Vec<Job> {
         },
         Job {
             name: "storm-pair".into(),
-            circuits: vec![a, c],
+            circuits: vec![a.clone(), c.clone()],
             flow: FlowKind::Pair,
             options: quick_options(0xc4a0),
         },
-    ]
+    ];
+    // The pair's summary nodes are `result` entries too. Plain jobs on
+    // its mode list make each of them a plan root, so every corrupted
+    // entry is read by some job even when the pair's own root is intact.
+    for (name, flow) in [
+        ("storm-pair-mdr", FlowKind::Mdr),
+        ("storm-pair-edge", FlowKind::Dcs(CostKind::EdgeMatching)),
+        ("storm-pair-wl", FlowKind::Dcs(CostKind::WireLength)),
+    ] {
+        jobs.push(Job {
+            name: name.into(),
+            circuits: vec![a.clone(), c.clone()],
+            flow,
+            options: quick_options(0xc4a0),
+        });
+    }
+    jobs
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {

@@ -202,19 +202,19 @@ fn pair_jobs_share_placement_stages_with_plain_jobs() {
     assert!(warm.results.iter().all(|r| r.outcome.is_ok()));
 
     // A pair job on the same mode group shares the MDR and DCS-wl legs;
-    // only the edge-matching leg and the routing stage are computed.
+    // the edge-matching leg, the three summaries and the join compute.
     let pair = engine.run(vec![job("pair", FlowKind::Pair, 29)]);
     let info = pair.results[0].cache;
     assert!(pair.results[0].outcome.is_ok());
     assert!(info.placement_hit, "pair reuses plain-job annealing");
     assert_eq!(info.placement_hits, 2, "mdr + dcs-wl legs from cache");
-    assert_eq!(info.stages_recomputed, 2, "edge leg + routing only");
+    assert_eq!(info.stages_recomputed, 5, "edge leg + 3 summaries + join");
 
     // A second pair run (different router again) now hits all three legs.
     let pair2 = engine.run(vec![job("pair2", FlowKind::Pair, 28)]);
     let info2 = pair2.results[0].cache;
     assert_eq!(info2.placement_hits, 3, "all legs cached");
-    assert_eq!(info2.stages_recomputed, 1, "only routing recomputed");
+    assert_eq!(info2.stages_recomputed, 4, "3 summaries + join recomputed");
 
     // And the sharing works in reverse: a plain dcs-edge job reuses the
     // edge leg the pair job stored.
@@ -223,6 +223,34 @@ fn pair_jobs_share_placement_stages_with_plain_jobs() {
     assert!(
         edge.results[0].cache.placement_hit,
         "plain job reuses pair-job annealing"
+    );
+
+    // Routed summaries are shared too: after plain dcs-edge, dcs-wl and
+    // mdr jobs, a pair job with the same options only runs its join. Its
+    // summary hits are not a result hit, and its record equals a
+    // cacheless run's.
+    let plain = engine.run(vec![
+        job("edge", FlowKind::Dcs(CostKind::EdgeMatching), 26),
+        job("dcs", FlowKind::Dcs(CostKind::WireLength), 26),
+        job("mdr", FlowKind::Mdr, 26),
+    ]);
+    assert!(plain.results.iter().all(|r| r.outcome.is_ok()));
+    let joined = engine.run(vec![job("pair3", FlowKind::Pair, 26)]);
+    let info3 = joined.results[0].cache;
+    assert_eq!(info3.stages_recomputed, 1, "only the join computes");
+    assert_eq!(info3.placement_hits, 0, "summary hits seal the placements");
+    assert!(!info3.result_hit, "the root itself was not cached");
+    assert_eq!(joined.stats.results_from_cache, 0);
+    let cacheless = Engine::new(EngineOptions {
+        threads: 1,
+        cache_dir: None,
+        ..Default::default()
+    })
+    .unwrap()
+    .run(vec![job("pair3", FlowKind::Pair, 26)]);
+    assert_eq!(
+        record_stream(&joined.results),
+        record_stream(&cacheless.results)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -270,13 +298,13 @@ fn three_mode_combined_jobs_share_stages_and_rerun_warm() {
     assert!(warm.results.iter().all(|r| r.outcome.is_ok()));
 
     // A combined job on the same 3-mode list shares the MDR and DCS-wl
-    // legs; only the edge-matching leg and the routing stage compute.
+    // legs; the edge-matching leg, the summaries and the join compute.
     let combined = engine.run(vec![job("combined", FlowKind::Pair, 29)]);
     let info = combined.results[0].cache;
     assert!(combined.results[0].outcome.is_ok());
     assert!(info.placement_hit, "combined reuses plain-job annealing");
     assert_eq!(info.placement_hits, 2, "mdr + dcs-wl legs from cache");
-    assert_eq!(info.stages_recomputed, 2, "edge leg + routing only");
+    assert_eq!(info.stages_recomputed, 5, "edge leg + 3 summaries + join");
 
     // A warm re-run of the *same* combined job recomputes zero stages.
     let rerun = engine.run(vec![job("combined", FlowKind::Pair, 29)]);
@@ -357,27 +385,54 @@ fn three_mode_timing_jobs_record_per_mode_critical_paths() {
     assert_eq!(cps, expected, "record matches routed STA bit-for-bit");
 }
 
-/// `run_combined_n` at N = 2 streams records byte-identical to the
-/// historical pair flow, across several seeded circuits (the engine-level
-/// half of the parity campaign; the flow-level property test lives in
-/// the root facade's test suite).
+/// A pair record the engine assembles from summary nodes that plain
+/// `mdr`, `dcs-edge` and `dcs` jobs left in the cache is byte-identical
+/// to the record of an uncached `run_combined_n`, across several seeded
+/// circuits (the engine-level half of the parity campaign; the
+/// flow-level property test lives in the root facade's test suite).
 #[test]
-fn combined_n2_records_match_pair_records() {
+fn pair_records_from_shared_summaries_match_run_combined_n() {
     for seed in [11u64, 12, 13] {
+        let dir = tmp_cache(&format!("joined{seed}"));
+        let engine = Engine::new(EngineOptions {
+            threads: 1,
+            cache_dir: Some(dir.clone()),
+            ..Default::default()
+        })
+        .unwrap();
         let circuits = vec![
             random_circuit("m0", 5, 12 + seed as usize % 3, 400 + seed),
             random_circuit("m1", 5, 13 + seed as usize % 2, 500 + seed),
         ];
-        let options = quick_options(seed);
-        let input = mm_flow::MultiModeInput::new(circuits.clone()).unwrap();
-        let via_pair = mm_flow::run_pair(&input, &options, "p").unwrap();
-        let via_n = mm_flow::run_combined_n(&circuits, &options, "p").unwrap();
-        assert_eq!(via_pair, via_n, "seed {seed}");
+        let job = |flow| Job {
+            name: "p".into(),
+            circuits: circuits.clone(),
+            flow,
+            options: quick_options(seed),
+        };
+        let plain = engine.run(vec![
+            job(FlowKind::Mdr),
+            job(FlowKind::Dcs(CostKind::EdgeMatching)),
+            job(FlowKind::Dcs(CostKind::WireLength)),
+        ]);
+        assert!(
+            plain.results.iter().all(|r| r.outcome.is_ok()),
+            "seed {seed}"
+        );
+        let pair = engine.run(vec![job(FlowKind::Pair)]);
+        assert_eq!(pair.stats.stages_recomputed, 1, "join only, seed {seed}");
+        let via_n = mm_flow::run_combined_n(&circuits, &quick_options(seed), "p").unwrap();
         assert_eq!(
-            mm_engine::JobOutcome::Pair(via_pair).to_value().to_json(),
+            pair.results[0]
+                .outcome
+                .as_ref()
+                .unwrap()
+                .to_value()
+                .to_json(),
             mm_engine::JobOutcome::Pair(via_n).to_value().to_json(),
             "record bytes, seed {seed}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -8,7 +8,7 @@
 //! cargo run --release --example multimode_transceiver
 //! ```
 
-use multimode::flow::{run_pair, FlowOptions, MultiModeInput};
+use multimode::flow::{run_combined_n, FlowOptions};
 use multimode::gen::regex::RegexEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,12 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(http.matches(b"GET /admin/users/list?session=0123456789abcdef HTTP/1.1"));
     assert!(!http.matches(b"GET /index.html HTTP/1.1"));
 
-    let input = MultiModeInput::new(vec![http.into_lut_circuit(), dns.into_lut_circuit()])?;
+    let modes = [http.into_lut_circuit(), dns.into_lut_circuit()];
 
     let mut options = FlowOptions::default();
     options.placer.inner_num = 2.0;
     println!("\nrunning MDR + DCS (edge matching) + DCS (wire length)...");
-    let m = run_pair(&input, &options, "transceiver")?;
+    let m = run_combined_n(&modes, &options, "transceiver")?;
 
     println!(
         "\nregion {0}x{0}; channel widths: MDR {1}, DCS-edge {2}, DCS-wl {3}",

@@ -13,7 +13,8 @@
 //! * [`gen`] — multi-mode benchmark generators (regex engines, FIR, MCNC-like),
 //!   combinable into N-mode problems (`all_tuples`, `fir_mode_tuples`).
 //! * [`flow`] — the paper's tool flow: merging, MDR and DCS flows, and the
-//!   N-mode combined comparison (`run_combined_n`).
+//!   N-mode combined comparison (`run_combined_n`), a stage plan that
+//!   joins the MDR and both DCS flows' summaries.
 //! * [`engine`] — parallel batch execution with content-addressed stage
 //!   caching (`mmflow batch` and the serve protocol live on top of it).
 //!

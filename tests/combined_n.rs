@@ -3,16 +3,16 @@
 //! 1. A 3-mode problem runs end-to-end through `run_combined_n` *and*
 //!    through the batch engine (`flow: combined`), with coherent metrics
 //!    and a well-formed JSONL record.
-//! 2. **Parity property**: `run_combined_n` over two modes is
-//!    byte-identical to the historical `run_pair` — placements, metrics
-//!    (widths, costs, wire fingerprints) and JSONL record bytes — across
+//! 2. **Parity property**: a two-mode `pair` record the engine assembles
+//!    from summary nodes that plain `mdr`/`dcs` jobs cached is
+//!    byte-identical to the record of an uncached `run_combined_n` —
+//!    metrics (widths, costs, wire counts) and JSONL bytes — across
 //!    seeded circuits.
 
 use multimode::engine::{Engine, EngineOptions, FlowKind, Job, JobOutcome};
-use multimode::flow::{
-    place_combined_n, place_pair, run_combined_n, run_pair, FlowOptions, MultiModeInput,
-};
+use multimode::flow::{run_combined_n, FlowOptions};
 use multimode::netlist::LutCircuit;
+use multimode::place::CostKind;
 use proptest::prelude::*;
 
 /// The repo's shared seeded circuit shape (`mm_gen`).
@@ -89,10 +89,9 @@ fn four_mode_combined_flow_runs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// `run_combined_n` with N = 2 is byte-identical to `run_pair`:
-    /// same annealed placements (every block, every leg), same metrics
-    /// (placements, widths, routing fingerprints via the wire counts)
-    /// and the same JSONL record bytes.
+    /// A two-mode `pair` job whose MDR and DCS summaries were cached by
+    /// plain jobs runs only its join, and its record is byte-identical
+    /// to an uncached `run_combined_n` on the same input.
     #[test]
     fn combined_n2_is_byte_identical_to_pair(case in 0u64..1000) {
         let circuits = vec![
@@ -100,29 +99,39 @@ proptest! {
             random_circuit("m1", 11 + (case % 3) as usize, 6500 + case),
         ];
         let options = quick_options(0x5eed ^ case);
-        let input = MultiModeInput::new(circuits.clone()).unwrap();
+        let dir = std::env::temp_dir()
+            .join(format!("mm_combined_n2_{case}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::new(EngineOptions {
+            threads: 1,
+            cache_dir: Some(dir.clone()),
+            ..Default::default()
+        })
+        .unwrap();
+        let job = |flow| Job {
+            name: "case".into(),
+            circuits: circuits.clone(),
+            flow,
+            options,
+        };
+        let plain = engine.run(vec![
+            job(FlowKind::Mdr),
+            job(FlowKind::Dcs(CostKind::EdgeMatching)),
+            job(FlowKind::Dcs(CostKind::WireLength)),
+        ]);
+        prop_assert!(plain.results.iter().all(|r| r.outcome.is_ok()));
+        let pair = engine.run(vec![job(FlowKind::Pair)]);
+        let _ = std::fs::remove_dir_all(&dir);
+        // The join alone computes.
+        prop_assert_eq!(pair.stats.stages_recomputed, 1);
 
-        // Stage 1 parity: every leg's placement assigns every block of
-        // every mode to the same site.
-        let via_pair = place_pair(&input, &options).unwrap();
-        let via_n = place_combined_n(&input, &options).unwrap();
-        for (m, c) in circuits.iter().enumerate() {
-            for id in c.block_ids() {
-                prop_assert_eq!(via_pair.mdr[m].site_of(id), via_n.mdr[m].site_of(id));
-                prop_assert_eq!(via_pair.edge.modes[m].site_of(id), via_n.edge.modes[m].site_of(id));
-                prop_assert_eq!(
-                    via_pair.wirelength.modes[m].site_of(id),
-                    via_n.wirelength.modes[m].site_of(id)
-                );
-            }
-        }
-
-        // Full-flow parity: metrics and record bytes.
-        let pair = run_pair(&input, &options, "case").unwrap();
         let combined = run_combined_n(&circuits, &options, "case").unwrap();
-        prop_assert_eq!(&pair, &combined);
+        let Ok(JobOutcome::Pair(joined)) = &pair.results[0].outcome else {
+            panic!("expected a combined outcome, got {:?}", pair.results[0].outcome);
+        };
+        prop_assert_eq!(joined, &combined);
         prop_assert_eq!(
-            JobOutcome::Pair(pair).to_value().to_json(),
+            pair.results[0].outcome.as_ref().unwrap().to_value().to_json(),
             JobOutcome::Pair(combined).to_value().to_json()
         );
     }

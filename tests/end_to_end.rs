@@ -2,7 +2,7 @@
 //! including a three-mode merge (the paper's `m1 m0` encoding) and the
 //! complete MDR-vs-DCS experiment invariants.
 
-use multimode::flow::{run_pair, DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
+use multimode::flow::{run_combined_n, DcsFlow, FlowOptions, MdrFlow, MultiModeInput};
 use multimode::netlist::{BlockId, LutCircuit, TruthTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,7 +48,7 @@ fn full_pair_experiment_invariants() {
         random_circuit("m1", 6, 34, 102),
     ])
     .unwrap();
-    let m = run_pair(&input, &quick_options(), "it").unwrap();
+    let m = run_combined_n(input.circuits(), &quick_options(), "it").unwrap();
 
     // Headline orderings of the paper.
     assert!(m.speedup_wirelength() > 1.0, "DCS-wl beats MDR");
@@ -121,8 +121,8 @@ fn deterministic_experiments() {
         random_circuit("m1", 5, 12, 402),
     ])
     .unwrap();
-    let a = run_pair(&input, &quick_options(), "d1").unwrap();
-    let b = run_pair(&input, &quick_options(), "d2").unwrap();
+    let a = run_combined_n(input.circuits(), &quick_options(), "d1").unwrap();
+    let b = run_combined_n(input.circuits(), &quick_options(), "d2").unwrap();
     assert_eq!(a.mdr, b.mdr);
     assert_eq!(a.dcs_wirelength, b.dcs_wirelength);
     assert_eq!(a.wires_mdr, b.wires_mdr);
@@ -136,7 +136,7 @@ fn modes_of_different_sizes() {
         random_circuit("small", 4, 8, 502),
     ])
     .unwrap();
-    let m = run_pair(&input, &quick_options(), "asym").unwrap();
+    let m = run_combined_n(input.circuits(), &quick_options(), "asym").unwrap();
     let area = m.area_vs_static();
     assert!(area > 0.7, "region is dominated by the big mode: {area}");
     assert!(m.speedup_wirelength() > 1.0);
